@@ -2,19 +2,18 @@
 
 Three claims are pinned here:
 
-* the predecoded and superblock engines and the reference engine report
-  **identical** simulated cycles/instructions/checks on the mcf kernel
-  under every configuration (the optimizations are observably
-  invisible);
+* the superblock engine and the reference engine report **identical**
+  simulated cycles/instructions/checks on the mcf kernel under every
+  configuration (the optimizations are observably invisible);
 * the per-config cycle records stay in the neighborhood of the stored
   `data/bench_baseline.json` snapshot, so a future change that silently
   shifts the Figure 5 cost model shows up as a benchmark failure rather
   than as quietly different paper numbers.  Simulated cycles are
   deterministic, so the tolerance (±25%) exists only to admit *intended*
   codegen/cost-model changes — refresh the snapshot when you make one;
-* the superblock engine actually earns its keep: ≥1.5× cycles per
-  wall-second over predecoded on the mcf kernel (ROADMAP item 2's
-  target), measured interleaved so host noise hits both engines alike.
+* the superblock engine actually earns its keep: ≥3.0× cycles per
+  wall-second over the reference interpreter on the mcf kernel,
+  measured interleaved so host noise hits both engines alike.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ from repro.apps.spec import kernel_source
 from repro.compiler import compile_source
 from repro.config import ALL_CONFIGS
 from repro.link.loader import load
+from repro.machine.cpu import ENGINE_REFERENCE, ENGINE_SUPERBLOCK
 from repro.runtime.trusted import TrustedRuntime
 
 BASELINE_PATH = Path(__file__).parent / "data" / "bench_baseline.json"
@@ -57,23 +57,18 @@ def bench_records(engine: str) -> dict[str, dict]:
     return records
 
 
-def test_engines_report_identical_cycles(benchmark):
+def test_superblock_reports_identical_cycles(benchmark):
     fast = benchmark.pedantic(
-        bench_records, args=("predecoded",), rounds=1, iterations=1
+        bench_records, args=(ENGINE_SUPERBLOCK,), rounds=1, iterations=1
     )
-    reference = bench_records("reference")
-    assert fast == reference
+    assert fast == bench_records(ENGINE_REFERENCE)
 
 
-def test_superblock_reports_identical_cycles():
-    assert bench_records("superblock") == bench_records("reference")
-
-
-def test_superblock_speedup_over_predecoded():
-    """The superblock engine must deliver ≥1.5× cycles-per-wall-second
-    over predecoded on a fig5 app.  Measured on OurMPX (check-heavy,
-    the config the paper's overhead story is about), interleaved
-    best-of-N so scheduler noise cannot bias one engine."""
+def test_superblock_speedup_over_reference():
+    """The superblock engine must deliver ≥3.0× cycles-per-wall-second
+    over the reference interpreter on a fig5 app.  Measured on OurMPX
+    (check-heavy, the config the paper's overhead story is about),
+    interleaved best-of-N so scheduler noise cannot bias one engine."""
     source = kernel_source("mcf", scale=1)
     config = ALL_CONFIGS["OurMPX"]
     binary = compile_source(source, config, seed=SEED)
@@ -86,23 +81,23 @@ def test_superblock_speedup_over_predecoded():
         return process.wall_cycles / elapsed
 
     # Warm both paths (superblock pays block fusion on first touch).
-    run("predecoded")
-    run("superblock")
-    best = {"predecoded": 0.0, "superblock": 0.0}
+    run(ENGINE_REFERENCE)
+    run(ENGINE_SUPERBLOCK)
+    best = {ENGINE_REFERENCE: 0.0, ENGINE_SUPERBLOCK: 0.0}
     for _ in range(4):
         for engine in best:
             best[engine] = max(best[engine], run(engine))
-    speedup = best["superblock"] / best["predecoded"]
-    assert speedup >= 1.5, (
-        f"superblock {best['superblock']:.3e} vs predecoded "
-        f"{best['predecoded']:.3e} cycles/s — only {speedup:.2f}x"
+    speedup = best[ENGINE_SUPERBLOCK] / best[ENGINE_REFERENCE]
+    assert speedup >= 3.0, (
+        f"superblock {best[ENGINE_SUPERBLOCK]:.3e} vs reference "
+        f"{best[ENGINE_REFERENCE]:.3e} cycles/s — only {speedup:.2f}x"
     )
 
 
 def test_cycles_match_stored_baseline():
     with open(BASELINE_PATH) as handle:
         baseline = {r["config"]: r for r in json.load(handle)["records"]}
-    current = bench_records("predecoded")
+    current = bench_records(ENGINE_SUPERBLOCK)
     assert set(current) == set(baseline)
     for name, record in current.items():
         expected = baseline[name]["cycles"]

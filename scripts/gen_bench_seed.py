@@ -29,6 +29,7 @@ from examples.quickstart import FIXED  # noqa: E402
 from repro.apps.spec import SPEC_NAMES, kernel_source  # noqa: E402
 from repro.cli import run_bench_suite  # noqa: E402
 from repro.config import OUR_MPX, SPEC_CONFIGS  # noqa: E402
+from repro.machine.cpu import DEFAULT_ENGINE  # noqa: E402
 from repro.obs import bench_store  # noqa: E402
 from repro.serve import run_load  # noqa: E402
 
@@ -51,17 +52,17 @@ def build_records() -> list[dict]:
         bench_store.make_record(
             name="quickstart",
             seed=SEED,
-            engine="predecoded",
+            engine=DEFAULT_ENGINE,
             cache="off",
             benchmarks=benchmarks,
         )
     )
 
-    # Suite 2: the quickstart again under the superblock engine.  The
-    # cycle numbers must be bit-identical to suite 1 (engines are
-    # equivalence-gated); the separate record gives `bench diff
-    # --suite quickstart-superblock` a seed to gate the fused engine's
-    # accounting against, and its wall_s column tracks the speedup.
+    # Suite 2: the quickstart again, explicitly on the superblock
+    # engine.  The cycle numbers must be bit-identical to suite 1
+    # (engines are equivalence-gated); the separate record gives
+    # `bench diff --suite quickstart-superblock` a seed to gate the
+    # fused engine's accounting against even if the default changes.
     _, sb_benchmarks = run_bench_suite(
         FIXED, suite="quickstart-superblock", seed=SEED,
         engine="superblock",
@@ -89,7 +90,7 @@ def build_records() -> list[dict]:
         bench_store.make_record(
             name="quickstart-checkopt",
             seed=SEED,
-            engine="predecoded",
+            engine=DEFAULT_ENGINE,
             cache="off",
             benchmarks=ck_benchmarks,
         )
@@ -110,7 +111,7 @@ def build_records() -> list[dict]:
         bench_store.make_record(
             name="fig5",
             seed=SEED,
-            engine="predecoded",
+            engine=DEFAULT_ENGINE,
             cache="off",
             benchmarks=fig5_benchmarks,
         )
@@ -129,7 +130,7 @@ def build_records() -> list[dict]:
             bench_store.make_record(
                 name=f"serve/{app}",
                 seed=SEED,
-                engine="predecoded",
+                engine=DEFAULT_ENGINE,
                 cache="off",
                 benchmarks=[report.bench_entry()],
             )

@@ -3,7 +3,7 @@
 # OurMPX with tracing + stats on, then assert the emitted Chrome trace
 # is valid JSON containing both compile-stage (wall) and machine
 # (cycle) spans; finally sanity-check `bench --json` and assert the
-# predecoded and reference execution engines report identical cycles.
+# superblock and reference execution engines report identical cycles.
 # Run from the repo root: sh scripts/smoke.sh
 set -eu
 
@@ -46,37 +46,30 @@ assert "machine.run" in names, names
 print(f"smoke OK: {len(complete)} spans, {len(names)} distinct")
 PY
 
-# bench --json sanity: valid JSON, one record per config, and both
-# fast engines (predecoded, superblock) produce cycle counts
-# bit-identical to the reference interpreter.
+# bench --json sanity: valid JSON, one record per config, and the
+# superblock engine (the default) produces cycle counts bit-identical
+# to the reference interpreter.
 BENCH_FAST="$WORK/bench_fast.json"
-BENCH_SUPER="$WORK/bench_super.json"
 BENCH_REF="$WORK/bench_ref.json"
-python -m repro bench --seed 1 --json "$SRC" > "$BENCH_FAST"
 python -m repro bench --seed 1 --json --engine superblock "$SRC" \
-    > "$BENCH_SUPER"
+    > "$BENCH_FAST"
 python -m repro bench --seed 1 --json --engine reference "$SRC" > "$BENCH_REF"
+cmp "$BENCH_FAST" "$BENCH_REF"
 
-python - "$BENCH_FAST" "$BENCH_SUPER" "$BENCH_REF" <<'PY'
+python - "$BENCH_FAST" <<'PY'
 import json
 import sys
 
 with open(sys.argv[1]) as handle:
     fast = json.load(handle)
-with open(sys.argv[2]) as handle:
-    superblock = json.load(handle)
-with open(sys.argv[3]) as handle:
-    ref = json.load(handle)
 assert fast, "bench --json produced no records"
 for record in fast:
     for key in ("config", "cycles", "overhead_pct", "instructions", "checks"):
         assert key in record, f"bench record missing {key}: {record}"
     assert record["cycles"] > 0, record
-assert fast == ref, "engines disagree:\n%s\n%s" % (fast, ref)
-assert superblock == ref, "engines disagree:\n%s\n%s" % (superblock, ref)
 configs = [r["config"] for r in fast]
 print(f"bench OK: {len(fast)} configs ({', '.join(configs)}), "
-      "predecoded == superblock == reference")
+      "superblock == reference")
 PY
 
 # Build-cache smoke: a cold build populates the object cache; the warm
@@ -160,12 +153,12 @@ if python -m repro bench diff BENCH_seed.json "$BENCH_BAD" \
     echo "bench diff FAILED to flag an injected regression" >&2
     exit 1
 fi
-# Same gate for the superblock engine's own trajectory record.
+# Same gate for the explicit superblock trajectory record.
 python -m repro bench --seed 1 --json --engine superblock --store "$BENCH_CI" \
     --bench-name quickstart-superblock "$SRC" > /dev/null
 python -m repro bench diff BENCH_seed.json "$BENCH_CI" \
     --suite quickstart-superblock
-echo "bench gate OK: seed diff clean (both engines), injected regression flagged"
+echo "bench gate OK: seed diff clean (both suites), injected regression flagged"
 
 # Check-optimizer smoke (--checkopt aggressive): fig5 kernels still
 # pass ConfVerify with checks elided, all engines stay bit-identical,
@@ -187,15 +180,12 @@ python -m repro verify --config OurMPX --checkopt aggressive --seed 1 \
 python -m repro verify --config OurSeg --checkopt aggressive --seed 1 \
     --no-prototypes "$MCF" > /dev/null
 
-CK_FAST="$WORK/bench_ck_fast.json"
 CK_SUPER="$WORK/bench_ck_super.json"
 CK_REF="$WORK/bench_ck_ref.json"
-python -m repro bench --seed 1 --json --checkopt aggressive "$SRC" > "$CK_FAST"
 python -m repro bench --seed 1 --json --checkopt aggressive \
     --engine superblock "$SRC" > "$CK_SUPER"
 python -m repro bench --seed 1 --json --checkopt aggressive \
     --engine reference "$SRC" > "$CK_REF"
-cmp "$CK_FAST" "$CK_REF"
 cmp "$CK_SUPER" "$CK_REF"
 
 CK_REPORT="$WORK/report_ck.json"

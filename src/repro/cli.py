@@ -25,10 +25,11 @@ serve    multi-tenant enclave-fleet serving: freeze one verified image,
 Common options: ``--config <name>`` (default OurMPX; see ``repro.config``),
 ``--file name=path`` to add RAM-disk files, ``--stdin-hex BYTES`` to feed
 channel 0, ``--seed N`` for deterministic magic selection.  ``run``,
-``bench``, and ``stats`` also take ``--engine {predecoded,superblock,reference}``:
-the reference engine is the slow one-step-at-a-time interpreter kept as
-an executable specification — results are identical, only wall-clock
-differs.
+``bench``, ``stats``, ``report``, and ``serve`` also take ``--engine
+{superblock,reference}`` (default superblock, the block-fusing fast
+engine); the reference engine is the slow one-step-at-a-time
+interpreter kept as an executable specification — results are
+identical, only wall-clock differs.
 
 Build-layer options: ``--cache-dir DIR`` attaches a content-addressed
 object cache (warm rebuilds skip every compile stage; also honoured via
@@ -75,6 +76,7 @@ from .compiler import compile_source
 from .config import ALL_CONFIGS, CHECKOPT_LEVELS, OUR_MPX
 from .errors import MachineFault, ReproError
 from .link.loader import load
+from .machine.cpu import DEFAULT_ENGINE, ENGINES
 from .obs import events, export
 from .runtime.trusted import T_PROTOTYPES, TrustedRuntime
 
@@ -293,7 +295,7 @@ def run_bench_suite(
     *,
     suite: str,
     seed: int | None = None,
-    engine: str = "predecoded",
+    engine: str = DEFAULT_ENGINE,
     configs: dict | None = None,
     runtime_factory=None,
     jobs: int | None = None,
@@ -976,6 +978,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro", description="ConfLLVM-reproduction toolchain driver"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Options shared by several subcommands, declared once.
+    engine_parent = argparse.ArgumentParser(add_help=False)
+    engine_parent.add_argument(
+        "--engine", default=DEFAULT_ENGINE, choices=ENGINES,
+        help="execution engine (reference = slow debug interpreter; "
+             "identical results)",
+    )
     for name, handler in (
         ("run", cmd_run),
         ("verify", cmd_verify),
@@ -983,7 +992,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("bench", cmd_bench),
         ("stats", cmd_stats),
     ):
-        p = sub.add_parser(name)
+        parents = [engine_parent] if name in ("run", "bench", "stats") else []
+        p = sub.add_parser(name, parents=parents)
         p.add_argument("source", help="MiniC source file")
         p.add_argument("--config", default=OUR_MPX.name,
                        choices=sorted(ALL_CONFIGS))
@@ -999,11 +1009,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="user=pw: register a stored password")
         p.add_argument("--stdin-hex", default=None,
                        help="hex bytes fed to channel 0")
-        if name in ("run", "bench", "stats"):
-            p.add_argument("--engine", default="predecoded",
-                           choices=("predecoded", "superblock", "reference"),
-                           help="execution engine (reference = slow "
-                                "debug interpreter; identical results)")
         p.set_defaults(handler=handler)
         if name in ("run", "verify", "bench", "stats"):
             p.add_argument("--trace", metavar="PATH", default=None,
@@ -1043,6 +1048,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "report",
+        parents=[engine_parent],
         help="Fig. 5-8-style overhead decomposition per config "
              "(per-category check cycles measured by the block profiler)",
     )
@@ -1064,9 +1070,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="user=pw: register a stored password")
     p.add_argument("--stdin-hex", default=None,
                    help="hex bytes fed to channel 0")
-    p.add_argument("--engine", default="predecoded",
-                   choices=("predecoded", "superblock", "reference"),
-                   help="execution engine (identical attribution)")
     p.add_argument("--json", action="store_true",
                    help="emit the decomposition as JSON")
     p.add_argument("--trace", metavar="PATH", default=None,
@@ -1154,6 +1157,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "serve",
+        parents=[engine_parent],
         help="multi-tenant enclave-fleet serving: fork verified machine "
              "images into per-tenant pools and drive a load through them",
     )
@@ -1167,9 +1171,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=CHECKOPT_LEVELS,
                    help="post-codegen check-optimization level (off/safe/aggressive; default from config)")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--engine", default="predecoded",
-                   choices=("predecoded", "superblock", "reference"),
-                   help="execution engine for every fork")
     p.add_argument("--tenants", type=int, default=2, metavar="N",
                    help="number of tenants (default 2)")
     p.add_argument("--pool-size", type=int, default=2, metavar="N",

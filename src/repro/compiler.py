@@ -23,6 +23,7 @@ from .build.session import default_session
 from .config import BuildConfig
 from .link.loader import Process, load
 from .link.objfile import Binary
+from .machine.cpu import DEFAULT_ENGINE
 from .runtime.trusted import TrustedRuntime
 
 
@@ -57,11 +58,11 @@ def compile_and_load(
     n_cores: int = 4,
     seed: int | None = None,
     verify: bool = False,
-    engine: str = "predecoded",
+    engine: str = DEFAULT_ENGINE,
 ) -> Process:
     """Compile, link, (optionally) verify, and load MiniC source.
 
-    ``engine`` selects the execution engine: ``"predecoded"`` (default,
+    ``engine`` selects the execution engine: ``"superblock"`` (default,
     fast) or ``"reference"`` (the one-step-at-a-time debug engine); both
     produce identical simulated cycles, stats, and faults.
     """

@@ -6,7 +6,7 @@ verdicts):
 
 * **program fuzzing** (:mod:`repro.fuzz.gen` + :func:`fuzz_programs`)
   generates random well-typed MiniC programs and differentially checks
-  Base vs OurMPX vs OurSeg results, the predecoded vs reference
+  Base vs OurMPX vs OurSeg results, the superblock vs reference
   machine engines, and cold-vs-warm object-cache builds;
 * **binary mutation** (:mod:`repro.fuzz.mutate` + :func:`fuzz_mutants`)
   applies security-relevant mutations to verified binaries and asserts

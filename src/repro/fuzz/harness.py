@@ -4,7 +4,7 @@ Two engines share this module:
 
 * :func:`fuzz_programs` generates well-typed MiniC programs and checks
   every cross-cutting equivalence the toolchain promises — Base, OurMPX
-  and OurSeg builds observe identically; the predecoded and reference
+  and OurSeg builds observe identically; the superblock and reference
   machine engines agree cycle-for-cycle; cold and warm object-cache
   builds are byte-identical; ConfVerify accepts every instrumented
   build.
@@ -45,6 +45,7 @@ from ..compiler import compile_source
 from ..config import BASE, OUR_MPX, OUR_SEG
 from ..errors import MachineFault, ReproError, VerifyError
 from ..link.loader import load as load_binary
+from ..machine.cpu import DEFAULT_ENGINE, ENGINE_REFERENCE
 from ..obs import events
 from ..runtime.trusted import T_PROTOTYPES, TrustedRuntime
 from ..verifier.verify import verify_binary
@@ -54,7 +55,6 @@ from .mutate import apply_site, enumerate_sites
 
 DIFF_CONFIGS = (BASE, OUR_MPX, OUR_SEG)
 VERIFIED_CONFIGS = (OUR_MPX, OUR_SEG)
-ENGINES = ("predecoded", "superblock", "reference")
 
 # The keys of an execution observation that must agree across *build
 # configurations* (instrumentation may change cycle counts, never
@@ -129,7 +129,7 @@ def _strip_prototypes(source: str) -> str:
     return source
 
 
-def _observe(binary, engine: str = "predecoded") -> dict:
+def _observe(binary, engine: str = DEFAULT_ENGINE) -> dict:
     """Run a binary to completion and capture everything comparable."""
     runtime = TrustedRuntime()
     process = load_binary(binary, runtime=runtime, engine=engine)
@@ -177,9 +177,10 @@ def check_program(body: str) -> list[tuple[str, str]]:
                     f"build: {err.reason}",
                 )
             )
-    base_obs = _observe(binaries[BASE.name])
+    fast = {name: _observe(binary) for name, binary in binaries.items()}
+    base_obs = fast[BASE.name]
     for config in VERIFIED_CONFIGS:
-        obs = _observe(binaries[config.name])
+        obs = fast[config.name]
         if _project(obs, _OBSERVABLE) != _project(base_obs, _OBSERVABLE):
             problems.append(
                 (
@@ -190,20 +191,18 @@ def check_program(body: str) -> list[tuple[str, str]]:
                 )
             )
     for config in DIFF_CONFIGS:
-        ref = _observe(binaries[config.name], engine="reference")
-        for engine in ENGINES:
-            if engine == "reference":
-                continue
-            fast = _observe(binaries[config.name], engine=engine)
-            if fast != ref:
-                keys = _OBSERVABLE + _PERF
-                problems.append(
-                    (
-                        "engine-divergence",
-                        f"{config.name}: {engine} vs reference disagree: "
-                        f"{_project(fast, keys)} vs {_project(ref, keys)}",
-                    )
+        ref = _observe(binaries[config.name], engine=ENGINE_REFERENCE)
+        obs = fast[config.name]
+        if obs != ref:
+            keys = _OBSERVABLE + _PERF
+            problems.append(
+                (
+                    "engine-divergence",
+                    f"{config.name}: {DEFAULT_ENGINE} vs reference "
+                    f"disagree: {_project(obs, keys)} vs "
+                    f"{_project(ref, keys)}",
                 )
+            )
     for config in VERIFIED_CONFIGS:
         with tempfile.TemporaryDirectory(prefix="repro-fuzz-cache-") as tmp:
             cold = BuildSession(cache=ObjectCache(tmp)).build(source, config)

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from ..backend import regs
 from ..errors import LoadError
-from ..machine.cpu import Machine
+from ..machine.cpu import DEFAULT_ENGINE, Machine
 from ..obs import events
 from ..runtime.alloc import NativeAllocator, RegionAllocator
 from ..runtime.trusted import TrustedRuntime
@@ -77,7 +77,7 @@ def load(
     binary: Binary,
     runtime: TrustedRuntime | None = None,
     n_cores: int = 4,
-    engine: str = "predecoded",
+    engine: str = DEFAULT_ENGINE,
 ) -> Process:
     if runtime is None:
         runtime = TrustedRuntime()

@@ -31,7 +31,7 @@ class MemoryState:
 
     def __init__(self, pages, mapped, read_only, ro_pages, prot_version):
         self.pages: dict[int, bytes] = pages
-        self.mapped: frozenset[int] = mapped
+        self.mapped: tuple[tuple[int, int], ...] = mapped
         self.read_only: tuple[tuple[int, int], ...] = read_only
         self.ro_pages: dict[int, tuple[tuple[int, int], ...]] = ro_pages
         self.prot_version = prot_version
@@ -40,11 +40,12 @@ class MemoryState:
 class Memory:
     def __init__(self) -> None:
         self._pages: dict[int, bytearray] = {}
-        # Page bases covered by map_range.  Backing bytearrays are
-        # allocated lazily on first touch (regions are tens of MiB and
-        # mostly untouched), so _pages holds only the materialized
-        # subset of _mapped.
-        self._mapped: set[int] = set()
+        # Page-base ranges [first, last) covered by map_range, one per
+        # call.  Backing bytearrays are allocated lazily on first touch
+        # (regions are tens of MiB and mostly untouched), so _pages
+        # holds only the materialized subset; the ranges stay a few
+        # tuples instead of one set entry per mapped page.
+        self._mapped: list[tuple[int, int]] = []
         self._read_only: list[tuple[int, int]] = []
         # Per-page permission cache: page base -> read-only ranges that
         # can affect a write touching that page.  Stores consult this
@@ -60,9 +61,9 @@ class Memory:
         self._snapshot_pages: dict[int, bytes] | None = None
         # Stamped by map_range/protect_read_only with a globally
         # unique value.  Mapping and protection are load-time-only in
-        # practice, so restore_state skips rebuilding the (large)
-        # _mapped set when the stamp already matches the snapshot's —
-        # the common case for per-request pool resets.
+        # practice, so restore_state skips rebuilding the protection
+        # tables when the stamp already matches the snapshot's — the
+        # common case for per-request pool resets.
         self._prot_version = 0
 
     # -- mapping --------------------------------------------------------
@@ -71,14 +72,21 @@ class Memory:
         """Map [lo, hi) (page-rounded) as zero-filled RW memory."""
         first = lo & ~PAGE_MASK
         last = (hi + PAGE_MASK) & ~PAGE_MASK
-        self._mapped.update(range(first, last, PAGE_SIZE))
+        if first < last:
+            self._mapped.append((first, last))
         self._prot_version = next(_PROT_STAMP)
+
+    def _page_mapped(self, base: int) -> bool:
+        for first, last in self._mapped:
+            if first <= base < last:
+                return True
+        return False
 
     def _page(self, base: int) -> bytearray | None:
         """The backing page for ``base``, materializing it on first
         touch; None when the page is unmapped."""
         page = self._pages.get(base)
-        if page is None and base in self._mapped:
+        if page is None and self._page_mapped(base):
             snapshot = self._snapshot_pages
             if snapshot is not None:
                 frozen = snapshot.get(base)
@@ -103,7 +111,7 @@ class Memory:
         first = addr & ~PAGE_MASK
         last = (addr + size - 1) & ~PAGE_MASK
         for base in range(first, last + 1, PAGE_SIZE):
-            if base not in self._mapped:
+            if not self._page_mapped(base):
                 return False
         return True
 
@@ -179,7 +187,7 @@ class Memory:
             pages[base] = bytes(page)
         return MemoryState(
             pages,
-            frozenset(self._mapped),
+            tuple(self._mapped),
             tuple(self._read_only),
             {base: tuple(rs) for base, rs in self._ro_pages.items()},
             self._prot_version,
@@ -190,8 +198,8 @@ class Memory:
         pages are dropped and re-filled lazily from the snapshot).
 
         Mutates the existing _pages/_mapped/_ro_pages containers rather
-        than rebinding them — predecoded instruction handlers close
-        over these objects."""
+        than rebinding them — the superblock engine's generated blocks
+        close over these objects."""
         self._pages.clear()
         self._snapshot_pages = state.pages
         if self._prot_version != state.prot_version:
@@ -201,8 +209,7 @@ class Memory:
             # matching version guarantees the tables are already
             # exactly the snapshot's; per-request pool resets take the
             # cheap path.
-            self._mapped.clear()
-            self._mapped.update(state.mapped)
+            self._mapped[:] = state.mapped
             self._read_only[:] = state.read_only
             self._ro_pages.clear()
             for base, ranges in state.ro_pages.items():
@@ -216,7 +223,7 @@ class Memory:
         out: dict[int, bytes] = {}
         if self._snapshot_pages:
             for base, frozen in self._snapshot_pages.items():
-                if base in self._mapped and frozen != _ZERO_PAGE:
+                if self._page_mapped(base) and frozen != _ZERO_PAGE:
                     out[base] = frozen
         for base, page in self._pages.items():
             data = bytes(page)

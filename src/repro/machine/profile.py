@@ -11,10 +11,10 @@ The profiler registers through :meth:`Machine.add_step_hook` — the
 supported observation API — rather than monkey-patching ``_step``, so
 multiple observers compose and double-attachment is an error instead of
 silent double counting.  The hook contract is engine-independent:
-attribution is identical under the predecoded and reference engines
-(while a hook is attached the machine leaves its single-thread hot
-loop, so every retired instruction is reported with its exact cycle
-cost either way).
+attribution is identical under the superblock and reference engines
+(while a hook is attached the superblock engine steps one-instruction
+blocks instead of whole fused ones, so every retired instruction is
+reported with its exact cycle cost either way).
 
 Usage::
 

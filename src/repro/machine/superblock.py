@@ -1,17 +1,14 @@
-"""Basic-block superinstruction fusion for the superblock engine.
+"""Basic-block code generation for the superblock engine.
 
-The predecoded engine already folds dispatch and operand decoding into
-per-instruction closures, but still pays one Python call, one
-``Stats.instructions`` increment, one cycle charge, and one ``t.pc``
-write per retired instruction.  This module removes that per-instruction
-tax: :class:`BlockFuser` walks ``machine.code`` from a block leader to
-the next control-flow terminator and generates **one Python function for
-the whole block**, with
+The superblock engine is the machine's one fast implementation of the
+ISA.  :class:`BlockFuser` walks ``machine.code`` from a block leader to
+the next control-flow terminator and generates **one Python function
+for the whole block**, with
 
-* the common instruction shapes (moves, ALU ops, compares, loads,
-  stores, push/pop, bnd/CFI/stack checks, direct calls, branches)
-  inlined as straight-line statements specialized exactly like the
-  predecoded closures;
+* every common instruction shape (moves, ALU ops including div/mod,
+  compares, loads, stores, push/pop, bnd/CFI/stack checks, direct
+  calls, branches, returns, register jumps) inlined as straight-line
+  statements specialized on its operands;
 * ``Stats``/cycle accounting *batched*: every per-instruction charge in
   a block is statically known at fuse time, so the fault-free path pays
   one flush at block exit.  Exactness at faults is preserved by a
@@ -21,34 +18,42 @@ the whole block**, with
   precomputed table before re-raising.  Counters, cycles, and the
   faulting ``t.pc`` are therefore bit-identical to per-instruction
   execution at any fault, while costing the hot path nothing;
-* anything rare or complex (indirect control flow, shadow-stack ops,
-  div/mod, unusual operand shapes) delegated to the existing predecoded
-  handler closure, with accumulated accounting flushed and ``t.pc``
-  written first so the handler observes per-instruction-exact state.
+* the rare kinds (jump tables, indirect calls and jumps, shadow-stack
+  ops, anything unknown) run through the reference engine's ``_i_*``
+  handler via :meth:`Machine._retire`, with accumulated accounting
+  flushed and ``t.pc`` written first so the handler observes
+  per-instruction-exact state.  Such a pc has no reconciliation entry:
+  a fault there leaves exactly the reference engine's state.
 
-Fusion is lazy (the first time execution reaches a pc) and position
+A one-instruction block is the per-instruction case: :meth:`single`
+generates those for the paths that must retire one instruction at a
+time (budget tails, step hooks, multi-thread quanta, trusted
+callbacks), so no path falls back to a second implementation.
+
+Generation is lazy (the first time execution reaches a pc) and position
 independent at the source level: generated sources embed only literals
 and positional ``O{n}`` names for per-machine objects, so the compiled
 code object is cached process-wide by source text.  A forked serving
 instance therefore pays only a cheap ``exec`` of an already-compiled
-code object per block it actually executes — the fuse cost amortizes
-across forks exactly like predecode amortizes across requests.
+code object per block it actually executes.
 
 Blocks are capped at the scheduler quantum (64 instructions); the
 driver in :meth:`Machine._run_hot_superblock` never lets a fused block
 cross a quantum boundary, which keeps budget faults and multi-thread
-interleavings bit-identical to the predecoded and reference engines
-(pinned by ``tests/machine/test_engine_equivalence.py``).
+interleavings bit-identical to the reference engine (pinned by
+``tests/machine/test_engine_equivalence.py``).
 """
 
 from __future__ import annotations
 
-from ..arith import MASK64, SIGN_BIT, eval_bin, eval_un, signed
+from ..arith import MASK64, SIGN_BIT, signed
 from ..backend import isa, regs
 from ..errors import (
     FAULT_BOUNDS,
     FAULT_CFI,
     FAULT_CHKSTK,
+    FAULT_DIV,
+    FAULT_EXEC,
     FAULT_PERM,
     FAULT_UNMAPPED,
     MachineFault,
@@ -80,31 +85,21 @@ TERMINATORS = (
 )
 
 _SIGNED_SYMS = {"lt": "<", "le": "<=", "gt": ">", "ge": ">="}
+_EQ_SYMS = {"eq": "==", "ne": "!="}
 _BIT_SYMS = {"and": "&", "or": "|", "xor": "^"}
-
-#: Delegated-to-handler instruction kinds that are known to be
-#: schedule-neutral: they may fault (which propagates) but can never
-#: kill the thread, spawn/unblock another one, or attach a step hook.
-#: ``JmpInd`` is the one gateway to natives (spawn/join/recv) and is
-#: deliberately absent; so is ``Halt``.  Blocks containing only neutral
-#: work are "pure" and let the driver skip its schedule checks.
-_NEUTRAL_DELEGATES = frozenset(
-    (
-        isa.JmpTable,
-        isa.CallI,
-        isa.RetPlain,
-        isa.JmpReg,
-        isa.ShadowPush,
-        isa.ShadowPop,
-    )
+_ALU_BINARY = frozenset(
+    ("add", "sub", "mul", "div", "mod", "shl", "shr") + tuple(_BIT_SYMS)
 )
 
-
-def _schedule_neutral(insn) -> bool:
-    kind = type(insn)
-    if kind is isa.Halt or kind is isa.JmpInd:
-        return False
-    return kind in _EMITTERS or kind in _NEUTRAL_DELEGATES
+#: Delegated instruction kinds that are known to be schedule-neutral:
+#: they may fault (which propagates) but can never kill the thread,
+#: spawn/unblock another one, or attach a step hook.  ``JmpInd`` is the
+#: one gateway to natives (spawn/join/recv) and is deliberately absent;
+#: so is ``Halt``.  Blocks containing only neutral work are "pure" and
+#: let the driver skip its schedule checks.
+_NEUTRAL_DELEGATES = frozenset(
+    (isa.JmpTable, isa.CallI, isa.ShadowPush, isa.ShadowPop)
+)
 
 #: Process-wide source -> compiled code object cache.  Sources embed no
 #: machine state (only literals and positional O{n} globals), so every
@@ -119,18 +114,22 @@ def code_cache_size() -> int:
 
 
 class BlockFuser:
-    """Per-machine block compiler: ``fuse(pc) -> (fn, count, pure)``.
+    """Per-machine block generator and cache.
 
-    ``fn`` runs the whole block on a thread; ``count`` is how many
-    instructions it retires; ``pure`` is True when the block cannot
-    change the thread schedule (no ``Halt``, no native gateway), which
-    lets the driver skip its per-block schedule checks.
-    Single-instruction blocks are not worth a generated function and
-    return the predecoded handler directly.
+    ``fuse(pc) -> (fn, count, pure)``: ``fn`` runs the whole block
+    starting at ``pc`` on a thread; ``count`` is how many instructions
+    it retires; ``pure`` is True when the block cannot change the thread
+    schedule (no ``Halt``, no native gateway), which lets the driver
+    skip its per-block schedule checks.  ``single(pc) -> fn`` is the
+    one-instruction block at ``pc``.  Both results are cached per pc in
+    ``blocks`` / ``singles`` (``None`` until first reached).
     """
 
     def __init__(self, machine):
         self.machine = machine
+        n = len(machine.code)
+        self.blocks: list = [None] * n
+        self.singles: list = [None] * n
         caches = machine.caches
         core_cycles = machine.core_cycles
         miss = costs.CACHE_MISS_PENALTY
@@ -144,7 +143,7 @@ class BlockFuser:
         )
 
         def touch(core, addr, size):
-            # Same span-aware L1 charge as the predecoded closures.
+            # Span-aware L1 charge (Machine._touch with a core index).
             if (addr & line_mask) + size <= LINE_SIZE:
                 if not caches[core].access(addr):
                     core_cycles[core] += miss
@@ -156,7 +155,7 @@ class BlockFuser:
         # Shared globals for every generated block function.  All of
         # these are captured by reference; the loader and
         # MachineState.restore mutate them in place (never rebind), so
-        # fused blocks stay coherent exactly like predecoded closures.
+        # generated blocks stay coherent across loads and resets.
         self.base_ns = {
             "S": machine.stats,
             "C": core_cycles,
@@ -169,6 +168,7 @@ class BlockFuser:
             "FB": int.from_bytes,
             "RCW": machine.read_code_word,
             "TOUCH": touch,
+            "RETIRE": machine._retire,
             "MACH": machine,
             "MF": MachineFault,
             "FU": FAULT_UNMAPPED,
@@ -176,35 +176,41 @@ class BlockFuser:
             "FC": FAULT_CFI,
             "FBND": FAULT_BOUNDS,
             "FK": FAULT_CHKSTK,
+            "FD": FAULT_DIV,
+            "FE": FAULT_EXEC,
             "M": MASK64,
             "SB": SIGN_BIT,
             "T64": TWO64,
         }
 
     def fuse(self, pc: int):
-        machine = self.machine
-        code = machine.code
-        handlers = machine._handlers
+        entry = self.blocks[pc] = self._generate(pc, MAX_BLOCK)
+        return entry
+
+    def single(self, pc: int):
+        fn = self.singles[pc] = self._generate(pc, 1)[0]
+        return fn
+
+    def _generate(self, pc: int, limit: int):
+        code = self.machine.code
         n = len(code)
         insns = []
         i = pc
-        while i < n and len(insns) < MAX_BLOCK:
+        while i < n and len(insns) < limit:
             insn = code[i]
             insns.append((i, insn))
             if isinstance(insn, TERMINATORS):
                 break
             i += 1
-        if len(insns) < 2:
-            return handlers[pc], 1, _schedule_neutral(insns[0][1])
-        emitter = _Emitter(self, handlers)
+        emitter = _Emitter(self)
         for p, insn in insns:
             emitter.emit(p, insn)
         emitter.flush()
         last_p, last = insns[-1]
         if not isinstance(last, TERMINATORS):
-            # Block split at MAX_BLOCK or at the end of the code space:
-            # fall through (an out-of-range pc faults in the driver,
-            # exactly like the per-instruction engines).
+            # Block split at the length limit or at the end of the code
+            # space: fall through (an out-of-range pc faults in the
+            # driver, exactly like the reference engine).
             emitter.lines.append(f"t.pc = {last_p + 1}")
         source = emitter.render()
         code_obj = _CODE_CACHE.get(source)
@@ -223,18 +229,18 @@ class _Emitter:
 
     Accounting discipline: per-instruction charges accumulate at *fuse
     time* in ``cum`` and are emitted as one flush at block exit (or
-    before a delegated handler call, which does its own accounting).
+    before a delegated instruction, which does its own accounting).
     Every fallible inlined instruction first writes ``t.pc`` and
     registers the cumulative charges pending at that point — including
-    its own pre-charges, exactly like the predecoded handlers, which
-    charge before they check — in ``recon``; the generated ``except``
-    block replays those charges before re-raising, so machine state at
-    any fault is bit-identical to per-instruction execution.
-    Post-charges that the handlers apply after the fault point
-    (``loads``/``stores``) join ``cum`` only after the fallible
+    its own pre-charges, exactly like the reference engine, which
+    charges the base cost before it executes — in ``recon``; the
+    generated ``except`` block replays those charges before re-raising,
+    so machine state at any fault is bit-identical to per-instruction
+    execution.  Post-charges that the reference applies after the fault
+    point (``loads``/``stores``) join ``cum`` only after the fallible
     statement, so they are visible to later fault points but not to the
     instruction's own.  Dynamic cache-miss charges are applied inline,
-    as the handlers do, so they need no reconciliation.
+    as the reference does, so they need no reconciliation.
     """
 
     #: cum/recon slots: instructions, cycles, loads, stores,
@@ -249,10 +255,9 @@ class _Emitter:
         "S.calls += {}",
     )
 
-    def __init__(self, fuser: BlockFuser, handlers):
+    def __init__(self, fuser: BlockFuser):
         self.fuser = fuser
-        self.machine = fuser.machine
-        self.handlers = handlers
+        self.code_end = CODE_BASE + len(fuser.machine.code)
         self.lines: list[str] = []
         self.objs: list = []
         self.cum = [0, 0, 0, 0, 0, 0, 0]
@@ -307,9 +312,12 @@ class _Emitter:
         self.objs.append(obj)
         return f"O{len(self.objs) - 1}"
 
-    def _simple(self, cost: int, stmt: str) -> None:
+    def _count(self, cost: int) -> None:
         self.cum[0] += 1
         self.cum[1] += cost
+
+    def _simple(self, cost: int, stmt: str) -> None:
+        self._count(cost)
         self.lines.append(stmt)
 
     def _pre(self, p: int, cost: int, *, cfi=0, bnd=0, calls=0) -> None:
@@ -324,7 +332,10 @@ class _Emitter:
         self.recon[p] = tuple(cum)
         self.lines.append(f"t.pc = {p}")
 
-    def _call_handler(self, p: int) -> None:
+    def _delegate(self, p: int, insn) -> None:
+        """Retire ``insn`` through the reference semantics, inline."""
+        if type(insn) not in _NEUTRAL_DELEGATES:
+            self.impure = True
         # The handler (and anything it reaches — natives can observe
         # counters, or raise right through us) must see exact state:
         # flush static charges and any batched cache hits first.
@@ -332,15 +343,47 @@ class _Emitter:
         if self.h_pending:
             self.lines.append("cache_.hits += h_")
             self.lines.append("h_ = 0")
-        name = self._obj(self.handlers[p])
         self.lines.append(f"t.pc = {p}")
-        self.lines.append(f"{name}(t)")
+        self.lines.append(f"RETIRE(t, {self._obj(insn)})")
 
-    def _signed_var(self, var: str, expr: str) -> None:
+    def _signed(self, operand, var: str) -> str:
+        """The signed view of ``operand``: a folded literal for an
+        immediate, else ``var`` after emitting its conversion."""
+        if isinstance(operand, isa.Imm):
+            return repr(signed(operand.value))
         lines = self.lines
-        lines.append(f"{var} = {expr}")
+        lines.append(f"{var} = r[{operand}]")
         lines.append(f"if {var} & SB:")
         lines.append(f"    {var} -= T64")
+        return var
+
+    @staticmethod
+    def _operand(value) -> str:
+        if isinstance(value, isa.Imm):
+            return repr(value.value & MASK64)
+        return f"r[{value}]"
+
+    @staticmethod
+    def _shift(value) -> str:
+        if isinstance(value, isa.Imm):
+            return repr(value.value & 63)
+        return f"(r[{value}] & 63)"
+
+    def _condition(self, insn) -> str | None:
+        """A SetCC/Br condition as an expression (emitting any sign
+        conversions first), or None for an op this generator does not
+        know."""
+        op = insn.op
+        if op in _EQ_SYMS:
+            return (
+                f"{self._operand(insn.a)} {_EQ_SYMS[op]} "
+                f"{self._operand(insn.b)}"
+            )
+        if op in _SIGNED_SYMS:
+            x = self._signed(insn.a, "x_")
+            y = self._signed(insn.b, "y_")
+            return f"{x} {_SIGNED_SYMS[op]} {y}"
+        return None
 
     def _cache_lines(self, var: str, size: int) -> list[str]:
         self.needs_cache = True
@@ -369,9 +412,9 @@ class _Emitter:
         ]
 
     def _addr_expr(self, mem_op: isa.Mem) -> str:
-        """The effective-address expression, mirroring the shapes of
-        ``Machine._compile_addr``; unusual shapes fall back to that
-        method's closure (still inline-called, still infallible)."""
+        """The effective-address expression, specialized for the shapes
+        codegen emits; anything else calls the reference
+        :meth:`Machine.effective_address` (still infallible)."""
         disp, scale = mem_op.disp, mem_op.scale
         if mem_op.abs is not None:
             const = mem_op.abs + disp
@@ -392,7 +435,7 @@ class _Emitter:
                 f"((r[{base}] + {disp} + r[{mem_op.index}] * {scale}) & M)"
             )
         elif mem_op.use32:
-            # fs/gs bases are read at execute time, like the closures.
+            # fs/gs bases are read at execute time, like the reference.
             base = mem_op.base
             seg = ""
             if mem_op.seg == isa.SEG_FS:
@@ -406,37 +449,42 @@ class _Emitter:
                 f"(((r[{base}] & {MASK32}) + {disp}"
                 f" + (r[{idx}] & {MASK32}) * {scale}{seg}) & M)"
             )
-        closure = self.machine._compile_addr(mem_op)
-        return f"{self._obj(closure)}(t)"
+        return f"MACH.effective_address(t, {self._obj(mem_op)})"
 
-    @staticmethod
-    def _operand(value) -> str:
-        if isinstance(value, isa.Imm):
-            return repr(value.value & MASK64)
-        return f"r[{value}]"
+    def _read_stack(self) -> None:
+        """``v_ = `` the 8-byte word at ``rsp_ = r[RSP]``, as
+        ``Machine.read_data`` reads it (code-as-data above CODE_BASE)."""
+        lines = self.lines
+        lines.append(f"rsp_ = r[{regs.RSP}]")
+        lines.append(f"if rsp_ >= {CODE_BASE}:")
+        lines.append("    v_ = RCW(rsp_)")
+        lines.append("else:")
+        lines.extend(
+            "    " + line for line in self._cache_lines("rsp_", 8)
+        )
+        lines.append(f"    o_ = rsp_ & {PAGE_MASK}")
+        lines.append("    pg_ = PAGES.get(rsp_ - o_)")
+        lines.append(f"    if pg_ is not None and o_ + 8 <= {PAGE_SIZE}:")
+        lines.append('        v_ = FB(pg_[o_:o_ + 8], "little")')
+        lines.append("    else:")
+        lines.append("        v_ = MREAD(rsp_, 8)")
 
     # -- dispatch ------------------------------------------------------
 
     def emit(self, p: int, insn) -> None:
-        kind = type(insn)
-        method = _EMITTERS.get(kind)
-        try:
-            cost = costs.BASE_COST[insn.cost_class]
-        except KeyError:
-            method = None
-            cost = 0
-        if method is None:
-            if not _schedule_neutral(insn):
-                self.impure = True
-            self._call_handler(p)
+        method = _EMITTERS.get(type(insn))
+        # An unknown kind or cost class fails inside RETIRE when it is
+        # reached, like the reference engine — never at fuse time.
+        cost = costs.BASE_COST.get(getattr(insn, "cost_class", None))
+        if method is None or cost is None:
+            self._delegate(p, insn)
             return
         method(self, p, insn, cost)
 
     # -- infallible straight-line instructions -------------------------
 
     def _e_magic(self, p, insn, cost):
-        self.cum[0] += 1
-        self.cum[1] += cost
+        self._count(cost)
 
     def _e_mov_ri(self, p, insn, cost):
         self._simple(cost, f"r[{insn.dst}] = {insn.imm & MASK64}")
@@ -456,101 +504,68 @@ class _Emitter:
 
     def _e_alu(self, p, insn, cost):
         dst, op = insn.dst, insn.op
-        if op in ("neg", "not"):
-            if isinstance(insn.a, isa.Imm):
-                value = eval_un(op, insn.a.value & MASK64)
-                self._simple(cost, f"r[{dst}] = {value}")
-            elif op == "neg":
-                self._simple(cost, f"r[{dst}] = -r[{insn.a}] & M")
-            else:
-                self._simple(cost, f"r[{dst}] = ~r[{insn.a}] & M")
+        if op == "neg":
+            self._simple(cost, f"r[{dst}] = -{self._operand(insn.a)} & M")
             return
-        a_imm = isinstance(insn.a, isa.Imm)
-        b_imm = isinstance(insn.b, isa.Imm)
-        if a_imm and b_imm and op not in ("div", "mod"):
-            value = eval_bin(
-                op, insn.a.value & MASK64, insn.b.value & MASK64
-            )
-            self._simple(cost, f"r[{dst}] = {value}")
+        if op == "not":
+            self._simple(cost, f"r[{dst}] = ~{self._operand(insn.a)} & M")
             return
-        if op in ("add", "sub") and not a_imm:
-            if b_imm:
-                bv = insn.b.value & MASK64
-                if op == "sub":
-                    bv = -bv
-                self._simple(cost, f"r[{dst}] = (r[{insn.a}] + {bv}) & M")
-            else:
-                sym = "+" if op == "add" else "-"
-                self._simple(
-                    cost, f"r[{dst}] = (r[{insn.a}] {sym} r[{insn.b}]) & M"
-                )
+        if op not in _ALU_BINARY:
+            self._delegate(p, insn)
             return
-        if op in _BIT_SYMS and not a_imm:
-            sym = _BIT_SYMS[op]
+        if op in ("div", "mod"):
+            self._divmod(p, insn, cost)
+            return
+        a, b = self._operand(insn.a), self._operand(insn.b)
+        if op == "add":
+            self._simple(cost, f"r[{dst}] = ({a} + {b}) & M")
+        elif op == "sub":
+            self._simple(cost, f"r[{dst}] = ({a} - {b}) & M")
+        elif op in _BIT_SYMS:
+            self._simple(cost, f"r[{dst}] = {a} {_BIT_SYMS[op]} {b}")
+        elif op == "shl":
             self._simple(
-                cost,
-                f"r[{dst}] = r[{insn.a}] {sym} {self._operand(insn.b)}",
+                cost, f"r[{dst}] = ({a} << {self._shift(insn.b)}) & M"
             )
-            return
-        if op == "mul" and not a_imm:
-            self.cum[0] += 1
-            self.cum[1] += cost
-            self._signed_var("x_", f"r[{insn.a}]")
-            if b_imm:
-                self.lines.append(
-                    f"r[{dst}] = (x_ * {signed(insn.b.value)}) & M"
-                )
-            else:
-                self._signed_var("y_", f"r[{insn.b}]")
-                self.lines.append(f"r[{dst}] = (x_ * y_) & M")
-            return
-        if op in ("shl", "shr") and not a_imm and b_imm:
-            sh = insn.b.value & 63
-            if op == "shl":
-                self._simple(cost, f"r[{dst}] = (r[{insn.a}] << {sh}) & M")
-            else:
-                self.cum[0] += 1
-                self.cum[1] += cost
-                self._signed_var("x_", f"r[{insn.a}]")
-                self.lines.append(f"r[{dst}] = (x_ >> {sh}) & M")
-            return
-        # div/mod (can fault) and leftover shapes: predecoded handler.
-        self._call_handler(p)
+        elif op == "shr":
+            self._count(cost)
+            x = self._signed(insn.a, "x_")
+            self.lines.append(
+                f"r[{dst}] = ({x} >> {self._shift(insn.b)}) & M"
+            )
+        else:  # mul
+            self._count(cost)
+            x = self._signed(insn.a, "x_")
+            y = self._signed(insn.b, "y_")
+            self.lines.append(f"r[{dst}] = ({x} * {y}) & M")
 
     def _e_setcc(self, p, insn, cost):
-        dst, op = insn.dst, insn.op
-        a_imm = isinstance(insn.a, isa.Imm)
-        b_imm = isinstance(insn.b, isa.Imm)
-        if a_imm and b_imm:
-            value = eval_bin(
-                op, insn.a.value & MASK64, insn.b.value & MASK64
-            )
-            self._simple(cost, f"r[{dst}] = {value}")
+        cond = self._condition(insn)
+        if cond is None:
+            self._delegate(p, insn)
             return
-        if not a_imm and op in ("eq", "ne"):
-            sym = "==" if op == "eq" else "!="
-            self._simple(
-                cost,
-                f"r[{dst}] = 1 if r[{insn.a}] {sym} "
-                f"{self._operand(insn.b)} else 0",
-            )
-            return
-        if not a_imm and op in _SIGNED_SYMS:
-            sym = _SIGNED_SYMS[op]
-            self.cum[0] += 1
-            self.cum[1] += cost
-            self._signed_var("x_", f"r[{insn.a}]")
-            if b_imm:
-                self.lines.append(
-                    f"r[{dst}] = 1 if x_ {sym} {signed(insn.b.value)} else 0"
-                )
-            else:
-                self._signed_var("y_", f"r[{insn.b}]")
-                self.lines.append(f"r[{dst}] = 1 if x_ {sym} y_ else 0")
-            return
-        self._call_handler(p)
+        self._simple(cost, f"r[{insn.dst}] = 1 if {cond} else 0")
 
     # -- fallible inlined instructions ---------------------------------
+
+    def _divmod(self, p, insn, cost):
+        # x86 semantics (arith.eval_bin): truncate toward zero; the
+        # remainder takes the dividend's sign.
+        self._pre(p, cost)
+        lines = self.lines
+        y = self._signed(insn.b, "y_")
+        what = "division" if insn.op == "div" else "modulo"
+        lines.append(f"if {y} == 0:")
+        lines.append(f'    raise MF(FD, "{what} by zero")')
+        x = self._signed(insn.a, "x_")
+        if insn.op == "div":
+            lines.append(f"q_ = abs({x}) // abs({y})")
+            lines.append(f"if ({x} < 0) != ({y} < 0):")
+        else:
+            lines.append(f"q_ = abs({x}) % abs({y})")
+            lines.append(f"if {x} < 0:")
+        lines.append("    q_ = -q_")
+        lines.append(f"r[{insn.dst}] = q_ & M")
 
     def _e_load(self, p, insn, cost):
         size = insn.size
@@ -629,22 +644,9 @@ class _Emitter:
 
     def _e_pop(self, p, insn, cost):
         self._pre(p, cost)
-        lines = self.lines
-        lines.append(f"rsp_ = r[{regs.RSP}]")
-        lines.append(f"if rsp_ >= {CODE_BASE}:")
-        lines.append("    v_ = RCW(rsp_)")
-        lines.append("else:")
-        lines.extend(
-            "    " + line for line in self._cache_lines("rsp_", 8)
-        )
-        lines.append(f"    o_ = rsp_ & {PAGE_MASK}")
-        lines.append("    pg_ = PAGES.get(rsp_ - o_)")
-        lines.append(f"    if pg_ is not None and o_ + 8 <= {PAGE_SIZE}:")
-        lines.append('        v_ = FB(pg_[o_:o_ + 8], "little")')
-        lines.append("    else:")
-        lines.append("        v_ = MREAD(rsp_, 8)")
-        lines.append(f"r[{insn.dst}] = v_")
-        lines.append(f"r[{regs.RSP}] = (rsp_ + 8) & M")
+        self._read_stack()
+        self.lines.append(f"r[{insn.dst}] = v_")
+        self.lines.append(f"r[{regs.RSP}] = (rsp_ + 8) & M")
 
     def _e_check_magic(self, p, insn, cost):
         self._pre(p, cost, cfi=1)
@@ -657,8 +659,8 @@ class _Emitter:
 
     def _e_bndchk(self, p, insn, cost):
         if insn.mem is not None:
-            # The fixed post-address surcharge is pre-fault in the
-            # handlers, so it batches with the base cost.
+            # The fixed memory-form surcharge is charged before the
+            # bounds comparison, so it batches with the base cost.
             cost += costs.BNDCHK_MEM_EXTRA
         self._pre(p, cost, bnd=1)
         lines = self.lines
@@ -684,40 +686,14 @@ class _Emitter:
     # -- terminators ---------------------------------------------------
 
     def _e_jmp(self, p, insn, cost):
-        self.cum[0] += 1
-        self.cum[1] += cost
-        self.lines.append(f"t.pc = {insn.addr}")
+        self._simple(cost, f"t.pc = {insn.addr}")
 
     def _e_br(self, p, insn, cost):
-        op, addr, npc = insn.op, insn.addr, p + 1
-        a_imm = isinstance(insn.a, isa.Imm)
-        b_imm = isinstance(insn.b, isa.Imm)
-        if not a_imm and op in ("eq", "ne"):
-            sym = "==" if op == "eq" else "!="
-            self.cum[0] += 1
-            self.cum[1] += cost
-            self.lines.append(
-                f"t.pc = {addr} if r[{insn.a}] {sym} "
-                f"{self._operand(insn.b)} else {npc}"
-            )
+        cond = self._condition(insn)
+        if cond is None:
+            self._delegate(p, insn)
             return
-        if not a_imm and op in _SIGNED_SYMS:
-            sym = _SIGNED_SYMS[op]
-            self.cum[0] += 1
-            self.cum[1] += cost
-            self._signed_var("x_", f"r[{insn.a}]")
-            if b_imm:
-                self.lines.append(
-                    f"t.pc = {addr} if x_ {sym} "
-                    f"{signed(insn.b.value)} else {npc}"
-                )
-            else:
-                self._signed_var("y_", f"r[{insn.b}]")
-                self.lines.append(
-                    f"t.pc = {addr} if x_ {sym} y_ else {npc}"
-                )
-            return
-        self._call_handler(p)
+        self._simple(cost, f"t.pc = {insn.addr} if {cond} else {p + 1}")
 
     def _e_call_d(self, p, insn, cost):
         self._pre(p, cost, calls=1)
@@ -730,10 +706,28 @@ class _Emitter:
         lines.append(f"MWRITE(rsp_, 8, {CODE_BASE + p + 1})")
         lines.append(f"t.pc = {insn.addr}")
 
+    def _e_ret(self, p, insn, cost):
+        self._pre(p, cost)
+        lines = self.lines
+        self._read_stack()
+        lines.append(f"r[{regs.RSP}] = (rsp_ + 8) & M")
+        lines.append(f"if not ({CODE_BASE} <= v_ < {self.code_end}):")
+        lines.append('    raise MF(FE, "return outside code", addr=v_)')
+        lines.append(f"t.pc = v_ - {CODE_BASE}")
+
+    def _e_jmp_reg(self, p, insn, cost):
+        # The indirect-jump surcharge is charged before the target
+        # check, so it batches with the base cost.
+        self._pre(p, cost + costs.INDIRECT_JUMP_EXTRA)
+        lines = self.lines
+        lines.append(f"x_ = r[{insn.reg}] + {insn.skip}")
+        lines.append(f"if not ({CODE_BASE} <= x_ < {self.code_end}):")
+        lines.append('    raise MF(FE, "jump outside code", addr=x_)')
+        lines.append(f"t.pc = x_ - {CODE_BASE}")
+
     def _e_halt(self, p, insn, cost):
         self.impure = True
-        self.cum[0] += 1
-        self.cum[1] += cost
+        self._count(cost)
         # finish_time reads the cycle counter, so the block's batched
         # charges must land first.
         self.flush()
@@ -749,9 +743,9 @@ class _Emitter:
         self.lines.append('raise MF(FC, "__debugbreak reached")')
 
 
-#: Instruction type -> emitter.  Types absent here (indirect control
-#: flow, shadow-stack ops, unknown instructions) run through their
-#: predecoded handler closure inside the block.
+#: Instruction type -> emitter.  Types absent here (jump tables,
+#: indirect calls and jumps, shadow-stack ops, unknown instructions)
+#: are delegated to the reference semantics inside the block.
 _EMITTERS = {
     isa.MagicWord: _Emitter._e_magic,
     isa.MovRI: _Emitter._e_mov_ri,
@@ -767,6 +761,8 @@ _EMITTERS = {
     isa.Jmp: _Emitter._e_jmp,
     isa.Br: _Emitter._e_br,
     isa.CallD: _Emitter._e_call_d,
+    isa.RetPlain: _Emitter._e_ret,
+    isa.JmpReg: _Emitter._e_jmp_reg,
     isa.CheckMagic: _Emitter._e_check_magic,
     isa.BndChk: _Emitter._e_bndchk,
     isa.ChkStk: _Emitter._e_chkstk,

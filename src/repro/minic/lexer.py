@@ -16,6 +16,11 @@ from .tokens import (
     Token,
 )
 
+# ASCII only: str.isdigit() also accepts digits int() cannot parse
+# (e.g. superscripts), and `"" in "0123"` is true at end of input.
+_DIGITS = frozenset("0123456789")
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+
 _ESCAPES = {
     "n": 10,
     "t": 9,
@@ -86,13 +91,15 @@ class Lexer:
     def _lex_number(self) -> Token:
         loc = self._loc()
         start = self._pos
-        if self._peek() == "0" and self._peek(1) in "xX":
+        if self._peek() == "0" and self._peek(1) in ("x", "X"):
             self._advance(2)
-            while self._peek() and self._peek() in "0123456789abcdefABCDEF":
+            while self._peek() in _HEX_DIGITS:
                 self._advance()
             text = self._src[start : self._pos]
+            if len(text) == 2:
+                raise LexError(f"hex literal {text!r} has no digits", loc)
             return Token(TK_INT, text, loc, value=int(text, 16))
-        while self._peek().isdigit():
+        while self._peek() in _DIGITS:
             self._advance()
         text = self._src[start : self._pos]
         return Token(TK_INT, text, loc, value=int(text))
@@ -103,7 +110,7 @@ class Lexer:
         if ch == "x":
             self._advance()
             digits = ""
-            while self._peek() in "0123456789abcdefABCDEF" and len(digits) < 2:
+            while self._peek() in _HEX_DIGITS and len(digits) < 2:
                 digits += self._peek()
                 self._advance()
             if not digits:
@@ -165,7 +172,7 @@ class Lexer:
             if not ch:
                 result.append(Token(TK_EOF, "", self._loc()))
                 return result
-            if ch.isdigit():
+            if ch in _DIGITS:
                 result.append(self._lex_number())
             elif ch == "'":
                 result.append(self._lex_char())

@@ -14,7 +14,7 @@ File format (``schema`` 1)::
 Each record::
 
     {"schema": 1, "name": "quickstart", "seed": 1,
-     "engine": "predecoded", "cache": "off",
+     "engine": "superblock", "cache": "off",
      "benchmarks": [
         {"name": "quickstart/Base", "config": "Base", "cycles": 12345,
          "instructions": 6789, "checks": {"bnd": 0, ...},

@@ -18,7 +18,7 @@ binary's ``label_addrs`` — every branch target carries a label, so
 label-delimited intervals are exactly the leader-delimited basic
 blocks of the final code.  The profiler attaches through
 ``Machine.add_step_hook`` (the supported observation API), which makes
-attribution engine-independent: the predecoded and reference engines
+attribution engine-independent: the superblock and reference engines
 report identical streams, pinned by a differential test.
 
 Zero-cost when off: nothing here runs unless a profiler is attached,

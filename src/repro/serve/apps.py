@@ -28,6 +28,7 @@ from ..apps.webserver import REQ_SIZE as WEB_REQ_SIZE, WEBSERVER_SRC, \
     make_request
 from ..compiler import compile_source
 from ..link.loader import load
+from ..machine.cpu import DEFAULT_ENGINE
 from ..runtime.trusted import T_PROTOTYPES, TrustedRuntime
 from .image import MachineImage, warm_image
 
@@ -248,7 +249,7 @@ def build_app_image(
     config,
     *,
     seed: int | None = None,
-    engine: str = "predecoded",
+    engine: str = DEFAULT_ENGINE,
     n_cores: int = 4,
     verify: bool = True,
     warm: bool = True,

@@ -18,8 +18,8 @@ the image — bit-identical to a cold ``load()`` of the same binary (the
 differential test in ``tests/serve/test_image.py`` pins this across
 configs and engines).  The even cheaper per-request path is
 ``Process.reset()`` on an existing fork: every mutable structure is
-rewound in place, so the predecoded engine's handler closures stay
-valid and nothing is re-predecoded.
+rewound in place, so the superblock engine's generated blocks stay
+valid and nothing is regenerated.
 
 Warm images park the program at its request loop: with a ``recv_gate``
 armed, the first ``recv`` that finds fewer bytes than it wants raises
@@ -84,9 +84,10 @@ class MachineImage:
     def fork(self, engine: str | None = None) -> Process:
         """A fresh, independent Process restored to the image point.
 
-        Builds a new Machine (predecode runs once per fork — pool
-        slots amortize it over thousands of requests) and a new
-        TrustedRuntime, then restores both from the image.  The
+        Builds a new Machine (blocks are bound lazily per fork from
+        the process-wide code cache — pool slots amortize that over
+        thousands of requests) and a new TrustedRuntime, then restores
+        both from the image.  The
         fork's sealed image is this image, so ``Process.reset()``
         rewinds to it, not to the original post-load state.
         """

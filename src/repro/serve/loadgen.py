@@ -26,6 +26,7 @@ import time
 from dataclasses import dataclass
 
 from ..errors import ServeError
+from ..machine.cpu import DEFAULT_ENGINE
 from ..obs import bench_store
 from ..runtime.trusted import TrustedRuntime
 from .apps import SERVE_APPS, ServeApp, build_app_image
@@ -192,7 +193,7 @@ def run_load(
     batch: int = 1,
     budget: int = DEFAULT_BUDGET,
     queue_depth: int = DEFAULT_QUEUE_DEPTH,
-    engine: str = "predecoded",
+    engine: str = DEFAULT_ENGINE,
     seed: int | None = None,
     verify: bool = True,
 ) -> ServeReport:

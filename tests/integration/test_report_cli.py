@@ -144,7 +144,7 @@ class TestBenchStoreAndDiff:
         record = doc["records"][0]
         assert record["name"] == "suite"
         assert record["seed"] == 2
-        assert record["engine"] == "predecoded"
+        assert record["engine"] == "superblock"
         assert record["cache"] == "off"
         names = [b["name"] for b in record["benchmarks"]]
         assert names[0] == "suite/Base"

@@ -1,15 +1,16 @@
-"""Differential suite: the fast engines must be observably identical
+"""Differential suite: the fast engine must be observably identical
 to the reference engine.
 
-The predecoded and superblock engines are pure performance
-transformations — simulated cycle counts, Stats counters, fault
-kinds/details/addresses, cache hits/misses, final register state, obs
-spans/metrics, and step-hook callbacks must all agree bit-for-bit with
-the one-step-at-a-time reference interpreter.  This suite pins that
-contract with the random ``ProgramGen`` corpus across
-BASE/OUR_MPX/OUR_SEG plus hand-built fault programs, and adds
-budget-boundary cases where the superblock engine's relaxed quantum
-grid has to realign with the per-instruction engines.
+The superblock engine is a pure performance transformation — simulated
+cycle counts, Stats counters, fault kinds/details/addresses, cache
+hits/misses, final register state, obs spans/metrics, and step-hook
+callbacks must all agree bit-for-bit with the one-step-at-a-time
+reference interpreter.  This suite pins that contract with the random
+``ProgramGen`` corpus across BASE/OUR_MPX/OUR_SEG plus hand-built fault
+programs, adds budget-boundary cases where the superblock engine's
+relaxed quantum grid has to realign with per-instruction execution,
+and runs a threaded server whose round-robin quanta retire one
+instruction at a time.
 """
 
 from __future__ import annotations
@@ -17,11 +18,13 @@ from __future__ import annotations
 import pytest
 
 from repro import BASE, OUR_MPX, OUR_SEG
+from repro.apps.dirserver import QUIT_QUERY, dirserver_mt_source, make_query
 from repro.backend import isa, regs
 from repro.compiler import compile_source
 from repro.errors import MachineFault
 from repro.link.layout import CODE_BASE
 from repro.link.loader import load
+from repro.machine.cpu import ENGINE_REFERENCE, ENGINE_SUPERBLOCK, ENGINES
 from repro.machine.profile import attach_profiler
 from repro.obs import events, export
 from repro.runtime.trusted import TrustedRuntime
@@ -31,8 +34,8 @@ from tests.machine.test_semantics_fixes import make_machine
 
 CORPUS_SEEDS = (0, 7, 23, 481, 9001, 31337)
 CONFIGS = (BASE, OUR_MPX, OUR_SEG)
-FAST_ENGINES = ("predecoded", "superblock")
-ALL_ENGINES = ("reference",) + FAST_ENGINES
+FAST_ENGINES = (ENGINE_SUPERBLOCK,)
+ALL_ENGINES = ENGINES
 
 
 def machine_signature(machine):
@@ -158,6 +161,77 @@ class TestFaultEquivalence:
         assert results["reference"][0][0] == "fault"
 
 
+class TestOperandShapes:
+    """Every ALU and compare op under every register/immediate operand
+    shape (negative values included, so signed views, shifts, and
+    div/mod rounding are exercised), plus the control transfers the
+    generator emits itself (``JmpReg``, ``RetPlain``) and one it runs
+    through the reference handler (``JmpTable``).  Each result is mixed
+    into an accumulator, so any divergence shows in the final
+    registers; the program also runs one instruction at a time under a
+    step hook."""
+
+    ALU_OPS = ("add", "sub", "mul", "div", "mod", "and", "or", "xor",
+               "shl", "shr", "neg", "not")
+    CMP_OPS = ("eq", "ne", "lt", "le", "gt", "ge")
+
+    def program(self):
+        A, B, ACC, T = regs.RAX, regs.RBX, regs.RCX, regs.RDX
+        shapes = (
+            (A, B), (isa.Imm(-7), B), (A, isa.Imm(3)),
+            (isa.Imm(-7), isa.Imm(3)), (isa.Imm(5), isa.Imm(-2)),
+        )
+        code = [isa.MovRI(A, -7), isa.MovRI(B, 3), isa.MovRI(ACC, 1)]
+
+        def mix():
+            code.append(isa.Alu("mul", ACC, ACC, isa.Imm(31)))
+            code.append(isa.Alu("add", ACC, ACC, T))
+
+        for op in self.ALU_OPS:
+            for a, b in shapes:
+                code.append(isa.Alu(op, T, a, b))
+                mix()
+        for op in self.CMP_OPS:
+            for a, b in shapes:
+                code.append(isa.SetCC(op, T, a, b))
+                mix()
+                # Taken skips the increment.
+                code.append(isa.Br(op, a, b, "skip", addr=len(code) + 2))
+                code.append(isa.Alu("add", ACC, ACC, isa.Imm(1)))
+        # Register jump over a trap, a call/return pair, a jump table.
+        code.append(isa.MovRI(T, CODE_BASE + len(code) + 3))
+        code.append(isa.JmpReg(T, skip=0))
+        code.append(isa.Fail())
+        call = len(code)
+        code.append(isa.CallD("f", addr=call + 4))
+        code.append(isa.MovRI(T, 6))
+        code.append(isa.JmpTable(T, 5, ["a", "b"], addrs=[call + 7,
+                                                          call + 8]))
+        code.append(isa.Fail())
+        code.append(isa.Alu("add", ACC, ACC, isa.Imm(13)))  # f
+        code.append(isa.RetPlain())
+        code.append(isa.Fail())
+        code.append(isa.Fail())
+        code.append(isa.MovRR(regs.RAX, ACC))  # case 6
+        code.append(isa.Halt())
+        return code
+
+    @pytest.mark.parametrize("hooked", (False, True))
+    def test_operand_shapes_identical(self, hooked):
+        signatures = {}
+        for engine in ALL_ENGINES:
+            machine = make_machine(self.program(), engine=engine)
+            stream = []
+            if hooked:
+                machine.add_step_hook(
+                    lambda t, pc, insn, cycles: stream.append((pc, cycles))
+                )
+            machine.run()
+            signatures[engine] = (machine_signature(machine), stream)
+        for engine in FAST_ENGINES:
+            assert signatures[engine] == signatures["reference"], engine
+
+
 class TestStepHookEquivalence:
     SOURCE = """
 int helper(int x) { return x * 3 + 1; }
@@ -201,7 +275,7 @@ int main() {
             assert reports[engine] == reports["reference"], engine
 
     def test_hook_attached_mid_run_sees_identical_tail(self):
-        # Attaching a hook mid-run kicks the predecoded engine off its
+        # Attaching a hook mid-run kicks the superblock engine off its
         # single-thread hot loop at the next quantum boundary — the
         # remaining callbacks must still match the reference engine.
         streams = {}
@@ -285,7 +359,7 @@ class TestBudgetBoundary:
     program whose final budgeted instruction halts it must return its
     exit code, not be misreported as evicted.  Regression tests for the
     off-by-one where ``budget <= 0`` was checked before
-    ``thread.alive``, run across all three engines (the superblock
+    ``thread.alive``, run across both engines (the superblock
     engine additionally realigns its relaxed quantum grid here)."""
 
     def straight_line(self, n_movs):
@@ -335,3 +409,79 @@ class TestBudgetBoundary:
             signatures[engine] = machine_signature(machine)
         for engine in FAST_ENGINES:
             assert signatures[engine] == signatures["reference"], engine
+
+
+class TestMultiThreadEquivalence:
+    """A 2-worker threaded dirserver never runs in the single-thread hot
+    loop: its round-robin quanta retire one instruction at a time (on
+    the superblock engine, through one-instruction generated blocks),
+    with natives spawning, joining, and blocking on channels in
+    between.  Normal runs, budget faults that land mid-schedule, and
+    step-hooked runs must all agree with the reference engine."""
+
+    N_WORKERS = 2
+    PER_WORKER = 2
+    _binary = None
+
+    def process(self, engine):
+        if TestMultiThreadEquivalence._binary is None:
+            TestMultiThreadEquivalence._binary = compile_source(
+                dirserver_mt_source(self.N_WORKERS), OUR_MPX, seed=5
+            )
+        runtime = TrustedRuntime()
+        runtime.set_password("alice", b"pw123")
+        for w in range(self.N_WORKERS):
+            for i in range(self.PER_WORKER):
+                entry = (w * self.PER_WORKER + i) * 2
+                runtime.channel(10 + w).feed(
+                    make_query(runtime, entry, "alice")
+                )
+            runtime.channel(10 + w).feed(QUIT_QUERY)
+        return load(self._binary, runtime=runtime, engine=engine), runtime
+
+    def observe(self, engine, max_instructions=500_000_000, hook=False):
+        process, runtime = self.process(engine)
+        machine = process.machine
+        stream = []
+        if hook:
+            def on_step(thread, pc, insn, cycles):
+                stream.append(
+                    (thread.tid, pc, cycles, machine.hook_cache_misses)
+                )
+
+            machine.add_step_hook(on_step)
+        try:
+            outcome = ("exit", process.run(max_instructions))
+        except MachineFault as fault:
+            outcome = ("fault", fault.kind, fault.detail, fault.addr)
+        wire = tuple(
+            bytes(runtime.channel(110 + w).drain_out())
+            for w in range(self.N_WORKERS)
+        )
+        live = sum(t.alive for t in machine.threads)
+        return (outcome, machine_signature(machine), wire, stream), live
+
+    def test_threaded_run_identical(self):
+        reference, _ = self.observe(ENGINE_REFERENCE)
+        assert reference[0] == ("exit", self.N_WORKERS * self.PER_WORKER)
+        assert len(reference[1]["regs"]) == 1 + self.N_WORKERS
+        for engine in FAST_ENGINES:
+            assert self.observe(engine)[0] == reference, engine
+
+    def test_budget_fault_mid_schedule_identical(self):
+        # Main populates the directory before it spawns the workers;
+        # aim between the workers' first and last retired instruction.
+        stream = self.observe(ENGINE_REFERENCE, hook=True)[0][3]
+        workers = [i for i, (tid, *_) in enumerate(stream) if tid != 0]
+        budget = (workers[0] + workers[-1]) // 2 + 37
+        reference, live = self.observe(ENGINE_REFERENCE, budget)
+        assert reference[0][:2] == ("fault", "instruction-budget-exhausted")
+        assert live > 1
+        for engine in FAST_ENGINES:
+            assert self.observe(engine, budget)[0] == reference, engine
+
+    def test_step_hook_stream_identical(self):
+        reference, _ = self.observe(ENGINE_REFERENCE, hook=True)
+        assert len({tid for tid, *_ in reference[3]}) == 1 + self.N_WORKERS
+        for engine in FAST_ENGINES:
+            assert self.observe(engine, hook=True)[0] == reference, engine

@@ -21,12 +21,10 @@ from repro.link.layout import CODE_BASE, make_layout
 from repro.link.objfile import Binary
 from repro.machine.cache import L1Cache
 from repro.machine.costs import CACHE_MISS_PENALTY
-from repro.machine.cpu import Machine
-
-ENGINES = ("predecoded", "superblock", "reference")
+from repro.machine.cpu import DEFAULT_ENGINE, ENGINES, Machine
 
 
-def make_machine(code, config=BASE, engine="predecoded"):
+def make_machine(code, config=BASE, engine=DEFAULT_ENGINE):
     layout = make_layout(config.scheme, config.scheme is not None, 4096, 4096)
     binary = Binary(
         code=code,

@@ -136,7 +136,7 @@ int main() {
 
 
 class TestMachineReset:
-    @pytest.mark.parametrize("engine", ("predecoded", "reference"))
+    @pytest.mark.parametrize("engine", ("superblock", "reference"))
     def test_two_resets_are_bit_identical(self, engine):
         runtime = TrustedRuntime()
         process = compile_and_load(

@@ -6,7 +6,7 @@ an uncontrolled Python exception.  (Recursion depth on pathological
 nesting is bounded separately.)
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ReproError
@@ -34,6 +34,10 @@ token_soup = st.lists(
 
 class TestGracefulFailure:
     @given(printable)
+    @example("0x")
+    @example("int x = 0X;")
+    @example("²")
+    @example("'\\x")
     @settings(max_examples=300, deadline=None)
     def test_arbitrary_text(self, text):
         try:

@@ -14,7 +14,7 @@ def record(name="suite", cycles=1000, instructions=900, wall=0.5):
     return bench_store.make_record(
         name=name,
         seed=1,
-        engine="predecoded",
+        engine="superblock",
         cache="off",
         benchmarks=[
             bench_store.make_benchmark(

@@ -41,7 +41,7 @@ int main() {
 """
 
 
-def run_profiled(config, engine="predecoded", seed=7):
+def run_profiled(config, engine="superblock", seed=7):
     binary = compile_source(SOURCE, config, seed=seed)
     process = load(binary, runtime=TrustedRuntime(), engine=engine)
     prof = attach_block_profiler(process.machine)

@@ -18,6 +18,7 @@ from repro import BASE, OUR_MPX, OUR_SEG, TrustedRuntime
 from repro.compiler import compile_source
 from repro.errors import ServeError
 from repro.link.loader import load
+from repro.machine.cpu import ENGINES
 from repro.serve import (
     SERVE_APPS,
     MachineImage,
@@ -31,7 +32,6 @@ from repro.serve.apps import echo_request
 from tests.machine.test_engine_equivalence import machine_signature
 
 CONFIGS = (BASE, OUR_MPX, OUR_SEG)
-ENGINES = ("predecoded", "superblock", "reference")
 
 ECHO = SERVE_APPS["echo"]
 
@@ -74,10 +74,10 @@ def test_fork_bit_identical_to_cold_load(config, engine):
 
 @pytest.mark.parametrize("config", (OUR_MPX,), ids=lambda c: c.name)
 def test_fork_engines_agree(config):
-    """A reference-engine fork of a predecoded-built image serves the
+    """A reference-engine fork of a superblock-built image serves the
     same bytes for the same cycles."""
     image, _ = build_app_image(ECHO, config, seed=3)
-    pre = ServeInstance(image.fork(engine="predecoded"))
+    pre = ServeInstance(image.fork(engine="superblock"))
     ref = ServeInstance(image.fork(engine="reference"))
     for i in range(3):
         payload = echo_request(i)
