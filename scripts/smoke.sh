@@ -73,15 +73,15 @@ print(f"bench OK: {len(fast)} configs ({', '.join(configs)}), "
 PY
 
 # Build-cache smoke: a cold build populates the object cache; the warm
-# rebuild (here also parallel, --jobs 4) must hit the cache for every
-# unit and reproduce bench --json byte-for-byte.  Cached/parallel
-# builds are also required to match the plain serial run above.
+# rebuild must hit the cache for every unit and reproduce bench --json
+# byte-for-byte.  Cached builds are also required to match the plain
+# uncached run above.
 CACHE="$WORK/objcache"
 BENCH_COLD="$WORK/bench_cold.json"
 BENCH_WARM="$WORK/bench_warm.json"
 WARM_METRICS="$WORK/warm_metrics.txt"
 python -m repro bench --seed 1 --json --cache-dir "$CACHE" "$SRC" > "$BENCH_COLD"
-python -m repro bench --seed 1 --json --cache-dir "$CACHE" --jobs 4 \
+python -m repro bench --seed 1 --json --cache-dir "$CACHE" \
     --metrics "$SRC" > "$BENCH_WARM" 2> "$WARM_METRICS"
 cmp "$BENCH_COLD" "$BENCH_FAST"
 cmp "$BENCH_COLD" "$BENCH_WARM"

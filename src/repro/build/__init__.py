@@ -1,5 +1,4 @@
-"""The staged build layer: separate compilation, object caching, and
-parallel builds.
+"""The staged build layer: separate compilation and object caching.
 
 This package turns the one-shot ``compile_source`` pipeline into a real
 separate-compilation toolchain, mirroring the paper's per-unit compile
@@ -17,9 +16,10 @@ separate-compilation toolchain, mirroring the paper's per-unit compile
 * :class:`~repro.build.cache.ObjectCache` — a content-addressed object
   store keyed by (format version, source hash, config fingerprint,
   seed); hits skip every compile stage up to and including codegen.
-* :mod:`~repro.build.executor` — the parallel build executor behind
-  ``BuildSession.build_many`` (the CLI's ``--jobs N``); parallel builds
-  are required to be byte-identical to serial ones.
+
+``BuildSession.build_many`` builds a batch of independent (source,
+config) requests one after another on the calling thread, in request
+order.
 
 The classic entry points :func:`repro.compile_source` and
 :func:`repro.compile_and_load` are thin wrappers over the process-wide
@@ -29,7 +29,6 @@ default session (see :func:`default_session` / :class:`use_session`).
 from __future__ import annotations
 
 from .cache import ObjectCache
-from .executor import build_many
 from .serialize import (
     FORMAT_VERSION,
     SerializeError,
@@ -57,7 +56,6 @@ __all__ = [
     "ObjectCache",
     "SerializeError",
     "StageResult",
-    "build_many",
     "config_fingerprint",
     "default_session",
     "dump_binary",

@@ -6,10 +6,10 @@ under their :func:`~repro.build.serialize.object_cache_key` digest:
     <root>/<first two hex chars>/<digest>.uo
 
 Writes are atomic (temp file + ``os.replace``) so concurrent builders
-— the parallel executor's worker threads, or several processes sharing
-one cache directory — never observe torn entries.  Reads bump the entry
-mtime, which drives least-recently-used eviction when ``max_entries``
-is set.
+— several processes sharing one cache directory — never observe torn
+entries, and a crash mid-write leaves no partial entry behind.  Reads
+bump the entry mtime, which drives least-recently-used eviction when
+``max_entries`` is set.
 
 Every operation flows through ``repro.obs`` counters:
 ``build.cache.hit``, ``build.cache.miss``, ``build.cache.store`` and

@@ -28,13 +28,11 @@ Sessions optionally carry
   the (format version, source hash, config fingerprint, seed) key
   before running any stage, and a hit deserializes the stored object
   instead of compiling — no parse/sema/lower/opt/codegen spans are
-  recorded, only a ``build.cache.hit`` counter;
-* a default ``jobs`` width for :meth:`BuildSession.build_many`, the
-  parallel build executor (byte-identical results to a serial build).
+  recorded, only a ``build.cache.hit`` counter.
 
 One process-wide *default session* backs the compatibility wrappers
 ``repro.compile_source`` / ``repro.compile_and_load``; scope a custom
-session (with a cache, or a jobs width) via :class:`use_session`.
+session (with a cache) via :class:`use_session`.
 """
 
 from __future__ import annotations
@@ -102,11 +100,13 @@ def _chain(stage: str, parent: str, *parts) -> str:
 
 
 class BuildSession:
-    """Staged compile/link driver with optional caching and parallelism."""
+    """Staged compile/link driver with an optional object cache.
+
+    ``jobs`` is accepted for existing callers and ignored: builds run serially.
+    """
 
     def __init__(self, cache: ObjectCache | None = None, jobs: int = 1):
         self.cache = cache
-        self.jobs = max(1, int(jobs))
 
     # ------------------------------------------------------------------
     # Stages.  Span names and nesting are identical to the historical
@@ -247,15 +247,13 @@ class BuildSession:
     def build_many(
         self, requests: list[BuildRequest], jobs: int | None = None
     ) -> list[Binary]:
-        """Build independent (source, config) units, possibly in parallel.
-
-        Results arrive in request order and are byte-identical to a
-        serial build whatever ``jobs`` is (each request's pipeline is
-        pure and isolated; see tests/buildsys/test_parallel.py).
-        """
-        from .executor import build_many
-
-        return build_many(self, requests, jobs=jobs)
+        """Build each request through :meth:`build`, in request order
+        (``jobs`` is ignored, as in ``__init__``)."""
+        return [
+            self.build(r.source, r.config, entry=r.entry,
+                       filename=r.filename, seed=r.seed, verify=r.verify)
+            for r in requests
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -269,19 +267,15 @@ def default_session() -> BuildSession:
     """The active process-wide session (created lazily).
 
     A fresh default session attaches an :class:`ObjectCache` at
-    ``$REPRO_CACHE_DIR`` when that variable is set, and builds with
-    ``$REPRO_BUILD_JOBS`` workers (default 1).
+    ``$REPRO_CACHE_DIR`` when that variable is set.
     """
     global _default
     with _lock:
         if _default is None:
             cache_dir = os.environ.get("REPRO_CACHE_DIR")
-            cache = ObjectCache(cache_dir) if cache_dir else None
-            try:
-                jobs = int(os.environ.get("REPRO_BUILD_JOBS", "1"))
-            except ValueError:
-                jobs = 1
-            _default = BuildSession(cache=cache, jobs=jobs)
+            _default = BuildSession(
+                cache=ObjectCache(cache_dir) if cache_dir else None
+            )
         return _default
 
 

@@ -22,20 +22,16 @@ serve    multi-tenant enclave-fleet serving: freeze one verified image,
          throughput/latency percentiles and cold-vs-fork setup costs
          (``--store`` appends a ``serve/<app>`` trajectory record)
 
-Common options: ``--config <name>`` (default OurMPX; see ``repro.config``),
-``--file name=path`` to add RAM-disk files, ``--stdin-hex BYTES`` to feed
-channel 0, ``--seed N`` for deterministic magic selection.  ``run``,
-``bench``, ``stats``, ``report``, and ``serve`` also take ``--engine
-{superblock,reference}`` (default superblock, the block-fusing fast
-engine); the reference engine is the slow one-step-at-a-time
-interpreter kept as an executable specification — results are
-identical, only wall-clock differs.
-
-Build-layer options: ``--cache-dir DIR`` attaches a content-addressed
-object cache (warm rebuilds skip every compile stage; also honoured via
-``$REPRO_CACHE_DIR``), and ``--jobs N`` compiles independent units in
-parallel (``bench`` compiles its 8 configurations concurrently).
-Parallel and cached builds are byte-identical to cold serial builds.
+Shared options are declared once, in argparse parent parsers; each
+subcommand takes only the ones it reads.  ``--config <name>`` (default
+OurMPX; see ``repro.config``), ``--seed N`` for deterministic magic
+selection, ``--file name=path`` / ``--password user=pw`` /
+``--stdin-hex BYTES`` for the trusted runtime, and ``--engine
+{superblock,reference}`` (default superblock; the reference engine is
+the slow executable specification, with identical results).
+``--cache-dir DIR`` (or ``$REPRO_CACHE_DIR``) attaches a
+content-addressed object cache; warm rebuilds skip every compile stage
+and are byte-identical to cold ones.
 
 Prototype injection: unless ``--no-prototypes`` is given, the standard
 T prototypes are prepended when the source contains no real ``extern
@@ -46,9 +42,10 @@ suppress injection.
 Observability: ``--trace out.json`` writes a Chrome-trace/Perfetto file
 covering both compiler stages (wall clock) and machine execution
 (simulated cycles); ``--metrics`` dumps every recorded counter and
-histogram as a table on stderr.  ``run --profile-blocks`` prints
-per-basic-block cycle attribution, ``run --flamegraph out.folded``
-writes a collapsed-stack profile.  See docs/OBSERVABILITY.md.
+histogram as a table on stderr.  ``run --profile`` prints per-function
+and ``run --profile-blocks`` per-basic-block cycle attribution, both
+from one block profiler; ``run --flamegraph out.folded`` writes a
+collapsed-stack profile.  See docs/OBSERVABILITY.md.
 """
 
 from __future__ import annotations
@@ -77,7 +74,8 @@ from .config import ALL_CONFIGS, CHECKOPT_LEVELS, OUR_MPX
 from .errors import MachineFault, ReproError
 from .link.loader import load
 from .machine.cpu import DEFAULT_ENGINE, ENGINES
-from .obs import events, export
+from .obs import bench_store, events, export
+from .obs.blockprof import attach_block_profiler, write_flamegraph
 from .runtime.trusted import T_PROTOTYPES, TrustedRuntime
 
 # Real `extern trusted` declarations, ignoring comments and string/char
@@ -97,9 +95,8 @@ def _has_trusted_declarations(source: str) -> bool:
     return _EXTERN_TRUSTED.search(_SOURCE_NOISE.sub(" ", source)) is not None
 
 
-def _apply_checkopt(config, args):
-    """Apply ``--checkopt`` to a named config (no-op when unset/equal)."""
-    level = getattr(args, "checkopt", None)
+def _apply_checkopt(config, level):
+    """Apply a ``--checkopt`` level to a config (no-op when unset/equal)."""
     if level and level != config.checkopt:
         return config.variant(checkopt=level)
     return config
@@ -137,40 +134,53 @@ def _make_runtime(args) -> TrustedRuntime:
 
 @contextlib.contextmanager
 def _session_scope(args):
-    """Scope a build session built from ``--cache-dir``/``--jobs``.
+    """Scope a build session over the ``--cache-dir`` object cache.
 
-    Without either flag the process default session (which honours
-    ``$REPRO_CACHE_DIR``/``$REPRO_BUILD_JOBS``) stays active.
+    Without the flag the process default session (which honours
+    ``$REPRO_CACHE_DIR``) stays active.
     """
     cache_dir = getattr(args, "cache_dir", None)
-    jobs = getattr(args, "jobs", None)
-    if not cache_dir and not jobs:
+    if not cache_dir:
         yield default_session()
         return
-    cache = ObjectCache(cache_dir) if cache_dir else None
-    with use_session(BuildSession(cache=cache, jobs=jobs or 1)) as session:
+    with use_session(BuildSession(cache=ObjectCache(cache_dir))) as session:
         yield session
 
 
-def _activate_obs(args) -> events.Registry | None:
-    """Activate a registry when ``--trace``/``--metrics`` asked for one."""
-    if not getattr(args, "trace", None) and not getattr(args, "metrics", False):
-        return None
-    return events.activate(events.Registry())
+def _store_record(args, name: str, benchmarks: list[dict]) -> int:
+    """Append a ``--store`` trajectory record; returns the record count."""
+    cached = args.cache_dir or os.environ.get("REPRO_CACHE_DIR")
+    record = bench_store.make_record(
+        name=name,
+        seed=args.seed,
+        engine=args.engine,
+        cache="dir" if cached else "off",
+        benchmarks=benchmarks,
+    )
+    return bench_store.append_record(args.store, record)
 
 
-def _finish_obs(args, registry: events.Registry | None) -> None:
-    """Deactivate and flush the registry (trace file, metrics table)."""
-    if registry is None:
+@contextlib.contextmanager
+def _obs_scope(args):
+    """Activate a registry when ``--trace``/``--metrics`` asked for one
+    (else yield None); on exit write the trace and the metrics table."""
+    trace = getattr(args, "trace", None)
+    metrics = getattr(args, "metrics", False)
+    if not trace and not metrics:
+        yield None
         return
-    events.deactivate()
-    if getattr(args, "trace", None):
-        export.write_chrome_trace(registry, args.trace)
-    if getattr(args, "metrics", False):
-        print(export.render_metrics_table(registry), file=sys.stderr)
+    registry = events.activate(events.Registry())
+    try:
+        yield registry
+    finally:
+        events.deactivate()
+        if trace:
+            export.write_chrome_trace(registry, trace)
+        if metrics:
+            print(export.render_metrics_table(registry), file=sys.stderr)
 
 
-def _report_run(args, process, runtime, profiler, blockprof=None) -> None:
+def _report_run(args, process, runtime, blockprof) -> None:
     # --metrics already dumps the machine counters (and more), so only
     # render the short stats table when it alone was requested.
     if args.stats and not args.metrics:
@@ -183,11 +193,11 @@ def _report_run(args, process, runtime, profiler, blockprof=None) -> None:
             ("machine.t_calls", stats.t_calls),
         ]
         print(export.render_kv_table(rows, title="run stats"), file=sys.stderr)
-    if profiler is not None:
+    if args.profile:
         rows = [
             [row.name, f"{row.cycles:,}", f"{row.cycle_share:.1%}",
              row.bnd_checks, row.cfi_checks]
-            for row in profiler.report(top=12)
+            for row in blockprof.function_report(top=12)
         ]
         print(
             export.render_table(
@@ -197,7 +207,7 @@ def _report_run(args, process, runtime, profiler, blockprof=None) -> None:
             ),
             file=sys.stderr,
         )
-    if blockprof is not None and getattr(args, "profile_blocks", False):
+    if args.profile_blocks:
         rows = [
             [row.name, row.func, f"{row.cycles:,}",
              f"{row.cycle_share:.1%}", f"{row.instructions:,}",
@@ -225,22 +235,14 @@ def _report_run(args, process, runtime, profiler, blockprof=None) -> None:
 
 def cmd_run(args) -> int:
     source = _read_source(args.source, not args.no_prototypes)
-    config = _apply_checkopt(ALL_CONFIGS[args.config], args)
-    registry = _activate_obs(args)
-    try:
+    config = _apply_checkopt(ALL_CONFIGS[args.config], args.checkopt)
+    with _obs_scope(args) as registry:
         binary = compile_source(source, config, seed=args.seed,
                                 verify=args.verify)
         runtime = _make_runtime(args)
         process = load(binary, runtime=runtime, engine=args.engine)
-        profiler = None
-        if args.profile:
-            from .machine.profile import attach_profiler
-
-            profiler = attach_profiler(process.machine)
         blockprof = None
-        if args.profile_blocks or args.flamegraph:
-            from .obs.blockprof import attach_block_profiler
-
+        if args.profile or args.profile_blocks or args.flamegraph:
             blockprof = attach_block_profiler(process.machine)
         try:
             code = process.run()
@@ -249,15 +251,11 @@ def cmd_run(args) -> int:
             return 2
         if blockprof is not None and registry is not None:
             blockprof.publish(registry)
-    finally:
-        _finish_obs(args, registry)
-    if blockprof is not None and args.flamegraph:
-        from .obs.blockprof import write_flamegraph
-
+    if args.flamegraph:
         write_flamegraph(blockprof, args.flamegraph)
     for line in process.stdout:
         print(line)
-    _report_run(args, process, runtime, profiler, blockprof)
+    _report_run(args, process, runtime, blockprof)
     return code & 0xFF
 
 
@@ -265,20 +263,17 @@ def cmd_verify(args) -> int:
     from .verifier import verify_binary
 
     source = _read_source(args.source, not args.no_prototypes)
-    config = _apply_checkopt(ALL_CONFIGS[args.config], args)
-    registry = _activate_obs(args)
-    try:
+    config = _apply_checkopt(ALL_CONFIGS[args.config], args.checkopt)
+    with _obs_scope(args):
         binary = compile_source(source, config, seed=args.seed)
         verify_binary(binary)
-    finally:
-        _finish_obs(args, registry)
     print(f"OK: {args.source} verifies under {config.name}")
     return 0
 
 
 def cmd_disasm(args) -> int:
     source = _read_source(args.source, not args.no_prototypes)
-    config = _apply_checkopt(ALL_CONFIGS[args.config], args)
+    config = _apply_checkopt(ALL_CONFIGS[args.config], args.checkopt)
     binary = compile_source(source, config, seed=args.seed)
     addr_to_label = {}
     for name, addr in binary.label_addrs.items():
@@ -298,7 +293,6 @@ def run_bench_suite(
     engine: str = DEFAULT_ENGINE,
     configs: dict | None = None,
     runtime_factory=None,
-    jobs: int | None = None,
     checkopt: str | None = None,
 ) -> tuple[list[dict], list[dict]]:
     """Compile + run ``source`` under every configuration.
@@ -310,30 +304,21 @@ def run_bench_suite(
     trajectory.  Shared by ``cmd_bench`` and the seed-trajectory
     generator so both produce byte-comparable entries.
     """
-    from .obs import bench_store
-
     records: list[dict] = []
     benchmarks: list[dict] = []
     base_cycles = None
-    # Compile every configuration up front (in parallel with --jobs);
-    # execution stays serial in configuration order, so cycle counts
-    # are identical whatever the build width.
-    session = default_session()
-    config_map = configs if configs is not None else ALL_CONFIGS
-    if checkopt:
-        config_map = {
-            name: (
-                config.variant(checkopt=checkopt)
-                if config.checkopt != checkopt
-                else config
-            )
-            for name, config in config_map.items()
-        }
+    # Compile every configuration up front, then run them in
+    # configuration order.
+    config_map = ALL_CONFIGS if configs is None else configs
+    config_map = {
+        name: _apply_checkopt(config, checkopt)
+        for name, config in config_map.items()
+    }
     requests = [
         BuildRequest(source=source, config=config, seed=seed)
         for config in config_map.values()
     ]
-    binaries = session.build_many(requests, jobs=jobs)
+    binaries = default_session().build_many(requests)
     for (name, config), binary in zip(config_map.items(), binaries):
         runtime = runtime_factory() if runtime_factory else TrustedRuntime()
         process = load(binary, runtime=runtime, engine=engine)
@@ -377,40 +362,22 @@ def run_bench_suite(
 
 
 def cmd_bench(args) -> int:
-    from .obs import bench_store
-
     source = _read_source(args.source, not args.no_prototypes)
-    registry = _activate_obs(args)
     suite = args.bench_name
     if suite is None:
         stem = os.path.basename(args.source)
         suite = stem[: stem.rfind(".")] if "." in stem else stem
-    try:
+    with _obs_scope(args):
         records, benchmarks = run_bench_suite(
             source,
             suite=suite,
             seed=args.seed,
             engine=args.engine,
             runtime_factory=lambda: _make_runtime(args),
-            jobs=getattr(args, "jobs", None),
-            checkopt=getattr(args, "checkopt", None),
+            checkopt=args.checkopt,
         )
-    finally:
-        _finish_obs(args, registry)
     if args.store:
-        cache_state = (
-            "dir"
-            if (args.cache_dir or os.environ.get("REPRO_CACHE_DIR"))
-            else "off"
-        )
-        record = bench_store.make_record(
-            name=suite,
-            seed=args.seed,
-            engine=args.engine,
-            cache=cache_state,
-            benchmarks=benchmarks,
-        )
-        total = bench_store.append_record(args.store, record)
+        total = _store_record(args, suite, benchmarks)
         print(
             f"stored record #{total} ({suite}, {len(benchmarks)} "
             f"benchmarks) -> {args.store}",
@@ -443,8 +410,6 @@ def cmd_bench(args) -> int:
 
 def cmd_bench_diff(args) -> int:
     """Compare two trajectory records; nonzero exit on regression."""
-    from .obs import bench_store
-
     old = bench_store.latest_record(args.old, name=args.suite)
     new = bench_store.latest_record(args.new, name=args.suite)
     tolerances = {}
@@ -493,7 +458,6 @@ def cmd_report(args) -> int:
     alignment) decompose the cycle delta over Base *exactly*:
     ``sum(categories) + other == cycles(config) - cycles(Base)``.
     """
-    from .obs.blockprof import attach_block_profiler
     from .verifier import verify_check_sites
 
     source = _read_source(args.source, not args.no_prototypes)
@@ -515,107 +479,82 @@ def cmd_report(args) -> int:
     else:
         config_map = dict(ALL_CONFIGS)
     config_map = {
-        name: _apply_checkopt(config, args)
+        name: _apply_checkopt(config, args.checkopt)
         for name, config in config_map.items()
     }
 
-    registry = _activate_obs(args)
-    results: dict[str, dict] = {}
-    try:
-        session = default_session()
+    def profile_all(configs: dict) -> dict[str, dict]:
         requests = [
             BuildRequest(source=source, config=config, seed=args.seed)
-            for config in config_map.values()
+            for config in configs.values()
         ]
-        binaries = session.build_many(requests)
-        for (name, _config), binary in zip(config_map.items(), binaries):
+        profiles = {}
+        for name, binary in zip(
+            configs, default_session().build_many(requests)
+        ):
             verify_check_sites(binary)
             process = load(binary, runtime=_make_runtime(args),
                            engine=args.engine)
             blockprof = attach_block_profiler(process.machine)
             process.run()
-            results[name] = {
+            profiles[name] = {
                 "cycles": process.wall_cycles,
                 "summary": blockprof.check_summary(),
-                "bnd_sites": sum(
-                    1 for kind in binary.check_sites.values()
-                    if kind == "bnd"
-                ),
+                "bnd_sites": list(binary.check_sites.values()).count("bnd"),
             }
+        return profiles
+
+    with _obs_scope(args):
+        results = profile_all(config_map)
         # Check-elision attribution: at --checkopt aggressive, rebuild
         # every bounds-checked config with the optimizer off and charge
         # the difference (sites and profiled bnd cycles) to checkopt.
-        if getattr(args, "checkopt", None) == "aggressive":
-            elidable = {
+        if args.checkopt == "aggressive":
+            offs = profile_all({
                 name: config.variant(checkopt="off")
                 for name, config in config_map.items()
                 if config.scheme == "mpx"
-            }
-            off_requests = [
-                BuildRequest(source=source, config=config, seed=args.seed)
-                for config in elidable.values()
-            ]
-            for (name, _config), binary in zip(
-                elidable.items(), session.build_many(off_requests)
-            ):
-                process = load(binary, runtime=_make_runtime(args),
-                               engine=args.engine)
-                blockprof = attach_block_profiler(process.machine)
-                process.run()
-                off_summary = blockprof.check_summary()
+            })
+            for name, off in offs.items():
                 entry = results[name]
-                sites_off = sum(
-                    1 for kind in binary.check_sites.values()
-                    if kind == "bnd"
-                )
+                bnd_cycles = entry["summary"]["bnd"]["cycles"]
+                off_cycles = off["summary"]["bnd"]["cycles"]
                 entry["checkopt"] = {
                     "level": "aggressive",
                     "bnd_sites": entry["bnd_sites"],
-                    "bnd_sites_off": sites_off,
-                    "sites_elided": sites_off - entry["bnd_sites"],
-                    "bnd_cycles": entry["summary"]["bnd"]["cycles"],
-                    "bnd_cycles_off": off_summary["bnd"]["cycles"],
-                    "bnd_cycles_saved": (
-                        off_summary["bnd"]["cycles"]
-                        - entry["summary"]["bnd"]["cycles"]
-                    ),
+                    "bnd_sites_off": off["bnd_sites"],
+                    "sites_elided": off["bnd_sites"] - entry["bnd_sites"],
+                    "bnd_cycles": bnd_cycles,
+                    "bnd_cycles_off": off_cycles,
+                    "bnd_cycles_saved": off_cycles - bnd_cycles,
                 }
-    finally:
-        _finish_obs(args, registry)
 
     base_cycles = results["Base"]["cycles"]
+
+    def pct_of_base(cycles: int) -> float:
+        return round(100.0 * cycles / base_cycles, 2) if base_cycles else 0.0
+
     report = []
     for name in config_map:
         cycles = results[name]["cycles"]
         summary = results[name]["summary"]
         delta = cycles - base_cycles
-        check_total = sum(c["cycles"] for c in summary.values())
-        other = delta - check_total
+        other = delta - sum(c["cycles"] for c in summary.values())
         breakdown = {
             cat: {
                 "count": summary[cat]["count"],
                 "cycles": summary[cat]["cycles"],
-                "pct_of_base": round(
-                    100.0 * summary[cat]["cycles"] / base_cycles, 2
-                )
-                if base_cycles
-                else 0.0,
+                "pct_of_base": pct_of_base(summary[cat]["cycles"]),
             }
             for cat in summary
         }
-        breakdown["other"] = {
-            "cycles": other,
-            "pct_of_base": round(100.0 * other / base_cycles, 2)
-            if base_cycles
-            else 0.0,
-        }
+        breakdown["other"] = {"cycles": other,
+                              "pct_of_base": pct_of_base(other)}
         entry = {
             "config": name,
             "cycles": cycles,
             "delta": delta,
-            "overhead_pct": round(100.0 * delta / base_cycles, 2)
-            if base_cycles
-            else 0.0,
+            "overhead_pct": pct_of_base(delta),
             "breakdown": breakdown,
         }
         if "checkopt" in results[name]:
@@ -687,7 +626,7 @@ def cmd_stats(args) -> int:
     all_spans: list[events.Span] = []
     rows = []
     for name, config in ALL_CONFIGS.items():
-        config = _apply_checkopt(config, args)
+        config = _apply_checkopt(config, args.checkopt)
         registry = events.Registry()
         note = ""
         with events.use(registry):
@@ -756,7 +695,7 @@ def cmd_build(args) -> int:
     the linker instead of compile errors.
     """
     session = default_session()
-    config = _apply_checkopt(ALL_CONFIGS[args.config], args)
+    config = _apply_checkopt(ALL_CONFIGS[args.config], args.checkopt)
     allow_undefined = args.allow_undefined or len(args.sources) > 1
     objs = []
     for path in args.sources:
@@ -848,8 +787,7 @@ def cmd_fuzz(args) -> int:
     """Drive the fuzzing harness; exit 1 when any finding survives."""
     from .fuzz import run_fuzz
 
-    registry = _activate_obs(args)
-    try:
+    with _obs_scope(args):
         reports = run_fuzz(
             engine=args.engine,
             seed=args.seed,
@@ -860,8 +798,6 @@ def cmd_fuzz(args) -> int:
             minimize=not args.no_minimize,
             stride=args.stride,
         )
-    finally:
-        _finish_obs(args, registry)
     findings = 0
     for report in reports:
         print(report.summary())
@@ -884,10 +820,9 @@ def cmd_serve(args) -> int:
     fleet, and reports throughput, p50/p95/p99 latency on both clocks,
     and the cold-vs-fork setup comparison.
     """
-    from .obs import bench_store
     from .serve import run_load
 
-    config = _apply_checkopt(ALL_CONFIGS[args.config], args)
+    config = _apply_checkopt(ALL_CONFIGS[args.config], args.checkopt)
     report = run_load(
         args.app,
         config,
@@ -903,29 +838,16 @@ def cmd_serve(args) -> int:
     )
     # Per-tenant counters are published after the run on purpose: an
     # active registry during serving would record a span per t_call.
-    registry = _activate_obs(args)
-    if registry is not None:
-        for tenant, counters in report.per_tenant.items():
-            for key in ("requests", "faults", "evictions", "resets",
-                        "cycles"):
-                registry.counter(f"serve.{key}", tenant=tenant).inc(
-                    counters[key]
-                )
-    _finish_obs(args, registry)
+    with _obs_scope(args) as registry:
+        if registry is not None:
+            for tenant, counters in report.per_tenant.items():
+                for key in ("requests", "faults", "evictions", "resets",
+                            "cycles"):
+                    registry.counter(f"serve.{key}",
+                                     tenant=tenant).inc(counters[key])
     if args.store:
-        cache_state = (
-            "dir"
-            if (args.cache_dir or os.environ.get("REPRO_CACHE_DIR"))
-            else "off"
-        )
-        record = bench_store.make_record(
-            name=f"serve/{args.app}",
-            seed=args.seed,
-            engine=args.engine,
-            cache=cache_state,
-            benchmarks=[report.bench_entry()],
-        )
-        total = bench_store.append_record(args.store, record)
+        total = _store_record(args, f"serve/{args.app}",
+                              [report.bench_entry()])
         print(
             f"stored record #{total} (serve/{args.app}) -> {args.store}",
             file=sys.stderr,
@@ -978,123 +900,117 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro", description="ConfLLVM-reproduction toolchain driver"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # Options shared by several subcommands, declared once.
-    engine_parent = argparse.ArgumentParser(add_help=False)
-    engine_parent.add_argument(
+
+    # Options shared by several subcommands, each declared once in a
+    # parent parser; a subcommand lists the parents whose options it
+    # reads.
+    def shared(*parents):
+        return argparse.ArgumentParser(add_help=False, parents=list(parents))
+
+    engine = shared()
+    engine.add_argument(
         "--engine", default=DEFAULT_ENGINE, choices=ENGINES,
         help="execution engine (reference = slow debug interpreter; "
              "identical results)",
     )
-    for name, handler in (
-        ("run", cmd_run),
-        ("verify", cmd_verify),
-        ("disasm", cmd_disasm),
-        ("bench", cmd_bench),
-        ("stats", cmd_stats),
-    ):
-        parents = [engine_parent] if name in ("run", "bench", "stats") else []
-        p = sub.add_parser(name, parents=parents)
-        p.add_argument("source", help="MiniC source file")
-        p.add_argument("--config", default=OUR_MPX.name,
-                       choices=sorted(ALL_CONFIGS))
-        p.add_argument("--checkopt", default=None,
-                       choices=CHECKOPT_LEVELS,
-                       help="post-codegen check-optimization level (off/safe/aggressive; default from config)")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--no-prototypes", action="store_true",
-                       help="do not prepend the standard T prototypes")
-        p.add_argument("--file", action="append",
-                       help="name=path: add a RAM-disk file")
-        p.add_argument("--password", action="append",
-                       help="user=pw: register a stored password")
-        p.add_argument("--stdin-hex", default=None,
-                       help="hex bytes fed to channel 0")
-        p.set_defaults(handler=handler)
-        if name in ("run", "verify", "bench", "stats"):
-            p.add_argument("--trace", metavar="PATH", default=None,
-                           help="write a Chrome-trace/Perfetto JSON file")
-        if name in ("run", "verify", "bench"):
-            p.add_argument("--metrics", action="store_true",
-                           help="dump all recorded metrics to stderr")
-        p.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="content-addressed object cache directory "
-                            "(warm rebuilds skip all compile stages)")
-        if name == "bench":
-            p.add_argument("--jobs", type=int, default=None, metavar="N",
-                           help="compile configurations with N parallel "
-                                "workers (results are byte-identical)")
-        if name == "run":
-            p.add_argument("--verify", action="store_true",
-                           help="run ConfVerify before loading")
-            p.add_argument("--stats", action="store_true",
-                           help="print a machine-counter summary table")
-            p.add_argument("--profile", action="store_true",
-                           help="print per-function cycle attribution")
-            p.add_argument("--profile-blocks", action="store_true",
-                           help="print per-basic-block cycle/L1 "
-                                "attribution (block profiler)")
-            p.add_argument("--flamegraph", metavar="PATH", default=None,
-                           help="write a collapsed-stack flamegraph "
-                                "profile (func;block cycles per line)")
-        if name == "bench":
-            p.add_argument("--json", action="store_true",
-                           help="emit machine-readable benchmark records")
-            p.add_argument("--store", metavar="FILE", default=None,
-                           help="append a schema-versioned record to a "
-                                "BENCH_*.json trajectory file")
-            p.add_argument("--bench-name", metavar="NAME", default=None,
-                           help="suite name for stored benchmark entries "
-                                "(default: source basename)")
+    prototypes = shared()
+    prototypes.add_argument("--no-prototypes", action="store_true",
+                            help="do not prepend the standard T prototypes")
+    source = shared(prototypes)
+    source.add_argument("source", help="MiniC source file")
+    config = shared()
+    config.add_argument("--config", default=OUR_MPX.name,
+                        choices=sorted(ALL_CONFIGS))
+    compile_opts = shared()
+    compile_opts.add_argument(
+        "--checkopt", default=None, choices=CHECKOPT_LEVELS,
+        help="post-codegen check-optimization level (off/safe/aggressive; "
+             "default from config); report --checkopt aggressive also "
+             "attributes per-config savings against a checkopt=off rebuild",
+    )
+    compile_opts.add_argument("--seed", type=int, default=None)
+    cache_dir = shared()
+    cache_dir.add_argument("--cache-dir", default=None, metavar="DIR",
+                           help="content-addressed object cache directory "
+                                "(default: $REPRO_CACHE_DIR; warm rebuilds "
+                                "skip all compile stages)")
+    runtime = shared()
+    runtime.add_argument("--file", action="append",
+                         help="name=path: add a RAM-disk file")
+    runtime.add_argument("--password", action="append",
+                         help="user=pw: register a stored password")
+    runtime.add_argument("--stdin-hex", default=None,
+                         help="hex bytes fed to channel 0")
+    trace = shared()
+    trace.add_argument("--trace", metavar="PATH", default=None,
+                       help="write a Chrome-trace/Perfetto JSON file")
+    obs = shared(trace)
+    obs.add_argument("--metrics", action="store_true",
+                     help="dump all recorded metrics to stderr")
+    json_out = shared()
+    json_out.add_argument("--json", action="store_true",
+                          help="emit machine-readable JSON")
+    store = shared(json_out)
+    store.add_argument("--store", metavar="FILE", default=None,
+                       help="append a schema-versioned record to a "
+                            "BENCH_*.json trajectory file")
+
+    p = sub.add_parser(
+        "run", parents=[source, config, compile_opts, cache_dir, runtime,
+                        obs, engine])
+    p.add_argument("--verify", action="store_true",
+                   help="run ConfVerify before loading")
+    p.add_argument("--stats", action="store_true",
+                   help="print a machine-counter summary table")
+    p.add_argument("--profile", action="store_true",
+                   help="print per-function cycle attribution")
+    p.add_argument("--profile-blocks", action="store_true",
+                   help="print per-basic-block cycle/L1 "
+                        "attribution (block profiler)")
+    p.add_argument("--flamegraph", metavar="PATH", default=None,
+                   help="write a collapsed-stack flamegraph "
+                        "profile (func;block cycles per line)")
+    p.set_defaults(handler=cmd_run)
+
+    p = sub.add_parser(
+        "verify", parents=[source, config, compile_opts, cache_dir, obs])
+    p.set_defaults(handler=cmd_verify)
+
+    p = sub.add_parser(
+        "disasm", parents=[source, config, compile_opts, cache_dir])
+    p.set_defaults(handler=cmd_disasm)
+
+    p = sub.add_parser(
+        "bench", parents=[source, compile_opts, cache_dir, runtime, obs,
+                          engine, store])
+    p.add_argument("--bench-name", metavar="NAME", default=None,
+                   help="suite name for stored benchmark entries "
+                        "(default: source basename)")
+    p.set_defaults(handler=cmd_bench)
+
+    p = sub.add_parser(
+        "stats", parents=[source, compile_opts, cache_dir, runtime, trace,
+                          engine])
+    p.set_defaults(handler=cmd_stats)
 
     p = sub.add_parser(
         "report",
-        parents=[engine_parent],
+        parents=[source, compile_opts, cache_dir, runtime, obs, engine,
+                 json_out],
         help="Fig. 5-8-style overhead decomposition per config "
              "(per-category check cycles measured by the block profiler)",
     )
-    p.add_argument("source", help="MiniC source file")
     p.add_argument("--configs", default=None, metavar="A,B",
                    help="comma-separated config subset "
                         "(Base is always included as the baseline)")
-    p.add_argument("--checkopt", default=None,
-                   choices=CHECKOPT_LEVELS,
-                   help="post-codegen check-optimization level (off/safe/aggressive; default from config); at aggressive, report "
-                        "additionally attributes per-config savings "
-                        "against a checkopt=off rebuild")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--no-prototypes", action="store_true",
-                   help="do not prepend the standard T prototypes")
-    p.add_argument("--file", action="append",
-                   help="name=path: add a RAM-disk file")
-    p.add_argument("--password", action="append",
-                   help="user=pw: register a stored password")
-    p.add_argument("--stdin-hex", default=None,
-                   help="hex bytes fed to channel 0")
-    p.add_argument("--json", action="store_true",
-                   help="emit the decomposition as JSON")
-    p.add_argument("--trace", metavar="PATH", default=None,
-                   help="write a Chrome-trace/Perfetto JSON file")
-    p.add_argument("--metrics", action="store_true",
-                   help="dump all recorded metrics to stderr")
-    p.add_argument("--cache-dir", default=None, metavar="DIR",
-                   help="content-addressed object cache directory")
-    p.add_argument("--jobs", type=int, default=None, metavar="N",
-                   help="compile configurations with N parallel workers")
     p.set_defaults(handler=cmd_report)
 
     p = sub.add_parser(
-        "build", help="separate compilation: sources -> objects / binary"
+        "build", parents=[prototypes, config, compile_opts, cache_dir],
+        help="separate compilation: sources -> objects / binary",
     )
     p.add_argument("sources", nargs="+", metavar="SRC",
                    help="MiniC source files, or prebuilt .uo objects")
-    p.add_argument("--config", default=OUR_MPX.name,
-                   choices=sorted(ALL_CONFIGS))
-    p.add_argument("--checkopt", default=None,
-                   choices=CHECKOPT_LEVELS,
-                   help="post-codegen check-optimization level (off/safe/aggressive; default from config)")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--no-prototypes", action="store_true",
-                   help="do not prepend the standard T prototypes")
     p.add_argument("--allow-undefined", action="store_true",
                    help="turn declared-but-undefined untrusted functions "
                         "into cross-object externals (implied when "
@@ -1106,20 +1022,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="link all objects and write the serialized binary")
     p.add_argument("--entry", default="main",
                    help="entry function for --link (default: main)")
-    p.add_argument("--jobs", type=int, default=None, metavar="N",
-                   help="build session parallelism width")
-    p.add_argument("--cache-dir", default=None, metavar="DIR",
-                   help="content-addressed object cache directory")
     p.set_defaults(handler=cmd_build)
 
-    p = sub.add_parser("cache", help="inspect the object cache")
+    p = sub.add_parser("cache", parents=[cache_dir],
+                       help="inspect the object cache")
     p.add_argument("action", choices=("stats", "list", "clear"))
-    p.add_argument("--cache-dir", default=None, metavar="DIR",
-                   help="cache directory (default: $REPRO_CACHE_DIR)")
     p.set_defaults(handler=cmd_cache)
 
     p = sub.add_parser(
         "fuzz",
+        parents=[obs],
         help="adversarial fuzzing + mutation-kill harness "
              "(fully reproducible from --seed)",
     )
@@ -1149,15 +1061,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "site (deterministic subsample for quick runs)")
     p.add_argument("--no-minimize", action="store_true",
                    help="report raw (unminimized) failing programs")
-    p.add_argument("--trace", metavar="PATH", default=None,
-                   help="write a Chrome-trace/Perfetto JSON file")
-    p.add_argument("--metrics", action="store_true",
-                   help="dump all recorded metrics to stderr")
     p.set_defaults(handler=cmd_fuzz)
 
     p = sub.add_parser(
         "serve",
-        parents=[engine_parent],
+        parents=[config, compile_opts, cache_dir, obs, engine, store],
         help="multi-tenant enclave-fleet serving: fork verified machine "
              "images into per-tenant pools and drive a load through them",
     )
@@ -1165,12 +1073,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("webserver", "dirserver", "classifier",
                             "echo"),
                    help="serveable app (see repro.serve.apps)")
-    p.add_argument("--config", default=OUR_MPX.name,
-                   choices=sorted(ALL_CONFIGS))
-    p.add_argument("--checkopt", default=None,
-                   choices=CHECKOPT_LEVELS,
-                   help="post-codegen check-optimization level (off/safe/aggressive; default from config)")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--tenants", type=int, default=2, metavar="N",
                    help="number of tenants (default 2)")
     p.add_argument("--pool-size", type=int, default=2, metavar="N",
@@ -1190,19 +1092,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(producers block when full)")
     p.add_argument("--no-verify", action="store_true",
                    help="skip ConfVerify when building the image")
-    p.add_argument("--json", action="store_true",
-                   help="emit the full serve report as JSON")
-    p.add_argument("--store", metavar="FILE", default=None,
-                   help="append a serve/<app> record to a BENCH_*.json "
-                        "trajectory file")
-    p.add_argument("--trace", metavar="PATH", default=None,
-                   help="write a Chrome-trace file of the serve counters")
-    p.add_argument("--metrics", action="store_true",
-                   help="dump per-tenant serve counters to stderr")
-    p.add_argument("--cache-dir", default=None, metavar="DIR",
-                   help="content-addressed object cache directory")
-    p.add_argument("--jobs", type=int, default=None, metavar="N",
-                   help="build session parallelism width")
     p.set_defaults(handler=cmd_serve)
     return parser
 

@@ -10,7 +10,8 @@ emits *compilable MiniC* that is well-typed by construction —
 * every array/heap index is masked to the object's bounds, so the
   program is memory-safe and must behave identically under every
   build configuration;
-* loops are bounded and there is no recursion, so every program
+* loops are bounded — a loop counter is readable in its body but never
+  an assignment target — and there is no recursion, so every program
   terminates.
 
 That makes generated programs usable as differential-testing inputs:
@@ -40,6 +41,8 @@ class _Builder:
         self.indent = 0
         # (name, is_private) int variables visible in the current scope.
         self.scopes: list[list[tuple[str, bool]]] = []
+        # Loop counters: visible to expressions, never assigned.
+        self.loop_counters: set[str] = set()
         self.counter = 0
         self.helpers: list[str] = []  # helper function names: int f(int,int)
         self.has_apply = False
@@ -130,7 +133,10 @@ class _Builder:
 
     def stmt_assign(self) -> None:
         priv_targets = self.visible(private=True)
-        pub_targets = self.visible(private=False)
+        pub_targets = [
+            name for name in self.visible(private=False)
+            if name not in self.loop_counters
+        ]
         if priv_targets and self.rng.random() < 0.35:
             target = self.rng.choice(priv_targets)
             self.emit(f"{target} = {self.expr(True)};")
@@ -199,6 +205,7 @@ class _Builder:
         self.indent += 1
         self.push_scope()
         self.declare(var, False)
+        self.loop_counters.add(var)
         self.block(max(1, budget // 2))
         self.pop_scope()
         self.indent -= 1
@@ -212,6 +219,7 @@ class _Builder:
         self.indent += 1
         self.push_scope()
         self.declare(var, False)
+        self.loop_counters.add(var)
         self.block(max(1, budget // 2))
         self.emit(f"{var} -= 1;")
         self.pop_scope()

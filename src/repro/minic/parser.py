@@ -1,4 +1,11 @@
-"""Recursive-descent parser for MiniC."""
+"""Recursive-descent parser for MiniC, with precedence climbing for
+binary operators.
+
+Nesting is bounded by ``MAX_NESTING``: each nested statement,
+sub-expression, prefix/cast operand, and binary or postfix operator of
+a chain counts one level.  Deeper input is a ``ParseError``, never a
+``RecursionError``; anything within the bound also compiles.
+"""
 
 from __future__ import annotations
 
@@ -60,7 +67,7 @@ _ASSIGN_OPS = {
     ">>=": ">>",
 }
 
-# Binary operator precedence tiers, loosest first.
+# Binary operator precedence tiers, loosest first; all left-associative.
 _BINARY_TIERS = [
     ("||",),
     ("&&",),
@@ -73,6 +80,14 @@ _BINARY_TIERS = [
     ("+", "-"),
     ("*", "/", "%"),
 ]
+_PRECEDENCE = {
+    op: prec for prec, ops in enumerate(_BINARY_TIERS) for op in ops
+}
+_POSTFIX_OPS = {"(", "[", ".", "->", "++", "--"}
+
+#: Fixed, not an option: every later compiler stage recurses over the
+#: AST too, and this depth fits them all.
+MAX_NESTING = 100
 
 
 class Parser:
@@ -84,6 +99,7 @@ class Parser:
     ):
         self._toks = tokens if tokens is not None else tokenize(source, filename)
         self._pos = 0
+        self._depth = 0
 
     # -- token plumbing ----------------------------------------------------
 
@@ -120,6 +136,15 @@ class Parser:
             self._next()
             return True
         return False
+
+    def _enter(self) -> None:
+        """Descend one nesting level (the caller restores the depth)."""
+        self._depth += 1
+        if self._depth > MAX_NESTING:
+            raise ParseError(
+                f"nesting too deep (more than {MAX_NESTING} levels)",
+                self._peek().loc,
+            )
 
     def _at_type(self, offset: int = 0) -> bool:
         tok = self._peek(offset)
@@ -295,6 +320,12 @@ class Parser:
         return Block(stmts, loc)
 
     def _parse_stmt(self) -> Stmt:
+        self._enter()
+        stmt = self._parse_stmt_kind()
+        self._depth -= 1
+        return stmt
+
+    def _parse_stmt_kind(self) -> Stmt:
         tok = self._peek()
         loc = tok.loc
         if tok.is_punct("{"):
@@ -404,38 +435,49 @@ class Parser:
     # -- expressions -------------------------------------------------------------
 
     def _parse_expr(self) -> Expr:
-        return self._parse_assignment()
-
-    def _parse_assignment(self) -> Expr:
-        left = self._parse_binary(0)
+        """An assignment expression (right-associative)."""
+        self._enter()
+        expr = self._parse_binary(0)
         tok = self._peek()
         if tok.kind == "punct" and tok.text in _ASSIGN_OPS:
             self._next()
-            value = self._parse_assignment()
-            return Assign(left, value, tok.loc, op=_ASSIGN_OPS[tok.text])
-        return left
+            value = self._parse_expr()
+            expr = Assign(expr, value, tok.loc, op=_ASSIGN_OPS[tok.text])
+        self._depth -= 1
+        return expr
 
-    def _parse_binary(self, tier: int) -> Expr:
-        if tier >= len(_BINARY_TIERS):
-            return self._parse_unary()
-        left = self._parse_binary(tier + 1)
-        ops = _BINARY_TIERS[tier]
-        while self._peek().kind == "punct" and self._peek().text in ops:
-            tok = self._next()
-            right = self._parse_binary(tier + 1)
+    def _parse_binary(self, min_prec: int) -> Expr:
+        """Precedence climbing: operators binding at least ``min_prec``."""
+        depth = self._depth
+        left = self._parse_unary()
+        while True:
+            tok = self._peek()
+            prec = _PRECEDENCE.get(tok.text) if tok.kind == "punct" else None
+            if prec is None or prec < min_prec:
+                self._depth = depth
+                return left
+            self._enter()
+            self._next()
+            right = self._parse_binary(prec + 1)
             left = Binary(tok.text, left, right, tok.loc)
-        return left
+
+    def _parse_operand(self) -> Expr:
+        """The operand of a prefix operator or cast, one level deeper."""
+        self._enter()
+        expr = self._parse_unary()
+        self._depth -= 1
+        return expr
 
     def _parse_unary(self) -> Expr:
         tok = self._peek()
         loc = tok.loc
         if tok.kind == "punct" and tok.text in ("-", "~", "!", "*", "&"):
             self._next()
-            return Unary(tok.text, self._parse_unary(), loc)
+            return Unary(tok.text, self._parse_operand(), loc)
         if tok.is_punct("++") or tok.is_punct("--"):
             self._next()
             delta = 1 if tok.text == "++" else -1
-            return IncDec(self._parse_unary(), delta, loc)
+            return IncDec(self._parse_operand(), delta, loc)
         if tok.is_keyword("sizeof"):
             self._next()
             self._expect_punct("(")
@@ -458,15 +500,20 @@ class Parser:
                 params, varargs = self._parse_param_types()
                 texpr.func = FuncSigExpr(params, varargs)
             self._expect_punct(")")
-            return Cast(texpr, self._parse_unary(), loc)
+            return Cast(texpr, self._parse_operand(), loc)
         return self._parse_postfix()
 
     def _parse_postfix(self) -> Expr:
+        depth = self._depth
         expr = self._parse_primary()
         while True:
             tok = self._peek()
-            if tok.is_punct("("):
-                self._next()
+            if tok.kind != "punct" or tok.text not in _POSTFIX_OPS:
+                self._depth = depth
+                return expr
+            self._enter()
+            self._next()
+            if tok.text == "(":
                 args: list[Expr] = []
                 if not self._accept_punct(")"):
                     while True:
@@ -484,20 +531,15 @@ class Parser:
                     expr = TlsBase(tok.loc)
                 else:
                     expr = Call(expr, args, tok.loc)
-            elif tok.is_punct("["):
-                self._next()
+            elif tok.text == "[":
                 index = self._parse_expr()
                 self._expect_punct("]")
                 expr = Index(expr, index, tok.loc)
-            elif tok.is_punct(".") or tok.is_punct("->"):
-                self._next()
+            elif tok.text in (".", "->"):
                 name = self._expect_ident().text
                 expr = Member(expr, name, tok.text == "->", tok.loc)
-            elif tok.is_punct("++") or tok.is_punct("--"):
-                self._next()
-                expr = IncDec(expr, 1 if tok.text == "++" else -1, tok.loc)
             else:
-                return expr
+                expr = IncDec(expr, 1 if tok.text == "++" else -1, tok.loc)
 
     def _parse_primary(self) -> Expr:
         tok = self._next()

@@ -1,13 +1,14 @@
 """Basic-block profiling and per-site check-overhead attribution.
 
-Where :mod:`repro.machine.profile` answers "which *function* are the
-cycles in?", this module answers the two questions the paper's
-evaluation actually turns on:
+This module answers the questions the paper's evaluation turns on:
 
+* **which function** do cycles, instructions, and executed bnd/CFI
+  checks land in (:meth:`BlockProfiler.function_report`, a roll-up of
+  the block rows; Fig. 7's observation that ~70% of Privado's time is
+  one tight loop);
 * **which basic block** do cycles, instructions, and L1 cache misses
-  land on, and along which control-flow edges does execution travel
-  (Fig. 7's observation that ~70% of Privado's time is one tight
-  loop); and
+  land on, and along which control-flow edges does execution travel;
+  and
 * **which inserted check** costs what — every executed ``bnd`` / CFI /
   magic-word / stack-probe / shadow-stack site is charged its exact
   simulated cycle cost, rolled up per category into the Fig. 5-8-style
@@ -32,6 +33,8 @@ Usage::
     for row in prof.report(top=5):
         print(row.name, row.cycles, row.cache_misses)
     print(prof.check_summary())
+    for row in prof.function_report(top=5):
+        print(row.name, row.cycles, row.bnd_checks, row.cfi_checks)
     write_flamegraph(prof, "out.folded")
 """
 
@@ -59,6 +62,18 @@ class BlockRow:
     instructions: int
     cache_misses: int
     cycle_share: float
+
+
+@dataclass
+class FunctionRow:
+    """One function's attribution totals (the roll-up of its blocks)."""
+
+    name: str
+    cycles: int
+    instructions: int
+    cycle_share: float
+    bnd_checks: int = 0
+    cfi_checks: int = 0
 
 
 @dataclass
@@ -153,17 +168,19 @@ class BlockProfiler:
         if self._steps % SAMPLE_STRIDE == 0:
             self._sample(thread)
 
-    def _sample(self, thread) -> None:
+    def _track_values(self) -> dict[str, int]:
+        """Current value of every counter track."""
         summary = self.check_summary()
         values = {
             f"blockprof.check_cycles.{cat}": summary[cat]["cycles"]
             for cat in CHECK_CATEGORIES
         }
-        values["blockprof.cache_misses"] = sum(
-            self.cache_misses.values()
-        )
+        values["blockprof.cache_misses"] = sum(self.cache_misses.values())
+        return values
+
+    def _sample(self, thread) -> None:
         ts = self._machine.core_cycles[thread.core]
-        self.samples.append((self._steps, ts, values))
+        self.samples.append((self._steps, ts, self._track_values()))
 
     # -- reports ---------------------------------------------------------
 
@@ -181,6 +198,29 @@ class BlockProfiler:
                 cycle_share=cycles / total,
             )
             for name, cycles in self.cycles.items()
+        ]
+        rows.sort(key=lambda r: (-r.cycles, r.name))
+        return rows[:top] if top else rows
+
+    def function_report(self, top: int | None = None) -> list[FunctionRow]:
+        """Per-function rows: block totals summed by function, plus the
+        executed bnd/CFI check counts of its check sites.  Cycles
+        descending with name tie-break, so equal rows never flip."""
+        totals: dict[str, list[int]] = {}
+        for name, cycles in self.cycles.items():
+            entry = totals.setdefault(
+                self.func_of(self.block_start[name]), [0, 0, 0, 0]
+            )
+            entry[0] += cycles
+            entry[1] += self.instructions.get(name, 0)
+        for addr, (cat, count, _cycles) in self.sites.items():
+            if cat in ("bnd", "cfi"):
+                entry = totals.setdefault(self.func_of(addr), [0, 0, 0, 0])
+                entry[2 if cat == "bnd" else 3] += count
+        total = sum(self.cycles.values()) or 1
+        rows = [
+            FunctionRow(name, cycles, insns, cycles / total, bnd, cfi)
+            for name, (cycles, insns, bnd, cfi) in totals.items()
         ]
         rows.sort(key=lambda r: (-r.cycles, r.name))
         return rows[:top] if top else rows
@@ -249,17 +289,11 @@ class BlockProfiler:
             )
         registry.counter("blockprof.blocks").inc(len(self.cycles))
         registry.counter("blockprof.edges").inc(len(self.edges))
-        samples = list(self.samples)
         # Close the trajectory with the final totals so short runs
         # (under one stride) still draw a track.
-        final = {
-            f"blockprof.check_cycles.{cat}": summary[cat]["cycles"]
-            for cat in CHECK_CATEGORIES
-        }
-        final["blockprof.cache_misses"] = sum(self.cache_misses.values())
         wall = max(self._machine.core_cycles) if self._machine.core_cycles else 0
-        samples.append((self._steps, wall, final))
-        for _steps, ts, values in samples:
+        final = (self._steps, wall, self._track_values())
+        for _steps, ts, values in [*self.samples, final]:
             for track, value in sorted(values.items()):
                 registry.add_counter_sample(track, ts, value)
 

@@ -1,6 +1,7 @@
 """Content-addressed object cache: key isolation across configs and
 seeds, hit/miss/evict accounting through repro.obs, cold==warm
-determinism, LRU eviction, and corrupt-entry recovery.
+determinism (single builds and ``build_many`` batches), LRU eviction,
+and corrupt-entry recovery.
 """
 
 from __future__ import annotations
@@ -10,11 +11,13 @@ import pathlib
 
 from repro import OUR_MPX, OUR_SEG
 from repro.build import (
+    BuildRequest,
     BuildSession,
     ObjectCache,
     dump_binary,
     object_cache_key,
 )
+from repro.config import ALL_CONFIGS
 from repro.link.loader import load
 from repro.obs import events
 from repro.runtime.trusted import T_PROTOTYPES
@@ -99,6 +102,46 @@ class TestHitBehaviour:
             session.compile_unit(PROGRAM, OUR_MPX, seed=1, use_cache=False)
         assert cache.entries() == []
         assert "build.cache.miss" not in registry.metrics_snapshot()
+
+
+def _requests():
+    return [
+        BuildRequest(source=source, config=config, seed=3)
+        for source in (PROGRAM, OTHER)
+        for config in ALL_CONFIGS.values()
+    ]
+
+
+class TestBuildMany:
+    def test_results_arrive_in_request_order(self):
+        seen = []
+
+        class Recording(BuildSession):
+            def build(self, source, config, **kwargs):
+                seen.append((source, config))
+                return super().build(source, config, **kwargs)
+
+        requests = _requests()
+        binaries = Recording().build_many(requests)
+        assert seen == [(r.source, r.config) for r in requests]
+        session = BuildSession()
+        for request, binary in zip(requests, binaries, strict=True):
+            assert binary.config == request.config
+            single = session.build(request.source, request.config, seed=3)
+            assert dump_binary(binary) == dump_binary(single)
+
+    def test_warm_rebuild_hits_cache_for_every_unit(self, tmp_path):
+        session = BuildSession(cache=ObjectCache(tmp_path))
+        requests = _requests()
+        cold = session.build_many(requests)
+        registry = events.Registry()
+        with events.use(registry):
+            warm = session.build_many(requests)
+        snap = registry.metrics_snapshot()
+        assert snap["build.cache.hit"] == len(requests)
+        assert "compile.codegen" not in {s.name for s in registry.spans}
+        for a, b in zip(cold, warm, strict=True):
+            assert dump_binary(a) == dump_binary(b)
 
 
 class TestEviction:

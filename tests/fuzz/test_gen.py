@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro import BASE, OUR_MPX, OUR_SEG, compile_source
+from repro import BASE, OUR_MPX, OUR_SEG, compile_and_load, compile_source
+from repro.errors import MachineFault
 from repro.fuzz.gen import generate_source
 from repro.runtime.trusted import T_PROTOTYPES
 from repro.verifier.verify import verify_binary
@@ -37,3 +38,15 @@ def test_generated_programs_compile_everywhere(seed):
 @pytest.mark.parametrize("config", (OUR_MPX, OUR_SEG), ids=lambda c: c.name)
 def test_instrumented_builds_verify(seed, config):
     verify_binary(compile_source(generate_source(seed), config))
+
+
+def test_generated_programs_terminate():
+    """Loop bodies never assign their own counter, so every generated
+    program exits well inside a small budget (seeds 13 and 25 used to
+    emit ``w10 = 45; w10 -= 1;`` inside ``while (w10 > 0)``)."""
+    for seed in range(40):
+        process = compile_and_load(generate_source(seed), OUR_MPX)
+        try:
+            process.run(max_instructions=50_000)
+        except MachineFault as fault:
+            pytest.fail(f"seed {seed}: {fault}")

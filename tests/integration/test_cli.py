@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.build import ObjectCache
 from repro.cli import main
+from repro.config import ALL_CONFIGS
 
 HELLO = """
 int main() {
@@ -73,6 +75,19 @@ class TestCliRun:
         # --metrics subsumes --stats: the instruction counter appears in
         # exactly one table, not two differently-formatted ones.
         assert err.count("machine.instructions") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--file", "a=b"],
+        ["disasm", "--stdin-hex", "00"],
+        ["stats", "--metrics"],
+        ["bench", "--config", "Base"],
+    ], ids=" ".join)
+    def test_subcommands_take_only_the_flags_they_read(self, hello_file,
+                                                       argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], hello_file, *argv[1:]])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_run_under_base_config(self, hello_file):
         assert main(["run", hello_file, "--config", "Base"]) == 7
@@ -346,16 +361,19 @@ class TestCliBuildAndCache:
         out = capsys.readouterr().out
         assert "entries" in out and "1" in out
 
-    def test_bench_json_cold_warm_jobs_identical(self, hello_file, tmp_path,
-                                                 capsys):
+    def test_bench_json_cold_warm_identical(self, hello_file, tmp_path,
+                                            capsys, monkeypatch):
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         cache_dir = str(tmp_path / "cache")
-        assert main(["bench", hello_file, "--json", "--seed", "2",
-                     "--cache-dir", cache_dir]) == 0
+        bench = ["bench", hello_file, "--json", "--seed", "2"]
+        assert main(bench + ["--cache-dir", cache_dir]) == 0
         cold = capsys.readouterr().out
-        assert main(["bench", hello_file, "--json", "--seed", "2",
-                     "--cache-dir", cache_dir, "--jobs", "4"]) == 0
+        assert main(bench + ["--cache-dir", cache_dir]) == 0
         warm = capsys.readouterr().out
-        assert cold == warm
+        assert main(bench) == 0
+        uncached = capsys.readouterr().out
+        assert cold == warm == uncached
+        assert len(ObjectCache(cache_dir).entries()) == len(ALL_CONFIGS)
 
     def test_cache_list_and_clear(self, hello_file, tmp_path, capsys):
         cache_dir = str(tmp_path / "cache")

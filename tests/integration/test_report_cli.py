@@ -90,6 +90,21 @@ class TestRunProfileFlags:
         assert "block profile" in err
         assert "sum_arr" in err
 
+    def test_profile_and_profile_blocks_share_one_profiler(
+        self, source_file, capsys
+    ):
+        assert main(
+            ["run", source_file, "--profile", "--profile-blocks",
+             "--seed", "2"]
+        ) == 0
+        err = capsys.readouterr().err
+        profile = err[err.index("=== profile ==="):
+                      err.index("=== block profile ===")]
+        assert profile.splitlines()[1].split() == [
+            "function", "cycles", "share", "bnd", "cfi"
+        ]
+        assert "sum_arr" in profile
+
     def test_flamegraph_written(self, source_file, tmp_path, capsys):
         out = tmp_path / "prof.folded"
         assert main(

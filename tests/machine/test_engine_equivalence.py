@@ -25,8 +25,8 @@ from repro.errors import MachineFault
 from repro.link.layout import CODE_BASE
 from repro.link.loader import load
 from repro.machine.cpu import ENGINE_REFERENCE, ENGINE_SUPERBLOCK, ENGINES
-from repro.machine.profile import attach_profiler
 from repro.obs import events, export
+from repro.obs.blockprof import attach_block_profiler
 from repro.runtime.trusted import TrustedRuntime
 
 from tests.integration.test_differential import ProgramGen
@@ -265,11 +265,12 @@ int main() {
         for engine in ALL_ENGINES:
             binary = compile_source(self.SOURCE, OUR_MPX, seed=3)
             process = load(binary, runtime=TrustedRuntime(), engine=engine)
-            profiler = attach_profiler(process.machine)
+            profiler = attach_block_profiler(process.machine)
             process.run()
             reports[engine] = [
-                (r.name, r.cycles, r.bnd_checks, r.cfi_checks)
-                for r in profiler.report()
+                (r.name, r.cycles, r.instructions, r.bnd_checks,
+                 r.cfi_checks)
+                for r in profiler.function_report()
             ]
         for engine in FAST_ENGINES:
             assert reports[engine] == reports["reference"], engine

@@ -70,17 +70,23 @@ class TestBlockAttribution:
         assert rows[0].cycle_share > 0.5
 
     def test_blocks_roll_up_to_function_profile(self):
-        from repro.machine.profile import attach_profiler
-
-        binary = compile_source(SOURCE, OUR_MPX, seed=7)
-        process = load(binary, runtime=TrustedRuntime())
-        func_prof = attach_profiler(process.machine)
-        block_prof = attach_block_profiler(process.machine)
-        process.run()
-        by_func: dict[str, int] = {}
-        for row in block_prof.report():
-            by_func[row.func] = by_func.get(row.func, 0) + row.cycles
-        assert by_func == func_prof.cycles
+        _, prof = run_profiled(OUR_MPX)
+        by_func: dict[str, list[int]] = {}
+        for row in prof.report():
+            totals = by_func.setdefault(row.func, [0, 0, 0, 0])
+            totals[0] += row.cycles
+            totals[1] += row.instructions
+        for site in prof.check_sites():
+            if site.category in ("bnd", "cfi"):
+                totals = by_func.setdefault(site.func, [0, 0, 0, 0])
+                totals[2 if site.category == "bnd" else 3] += site.count
+        rows = prof.function_report()
+        assert {
+            r.name: [r.cycles, r.instructions, r.bnd_checks, r.cfi_checks]
+            for r in rows
+        } == by_func
+        assert by_func["sum_heap"][2] > 0
+        assert sum(r.cycle_share for r in rows) == pytest.approx(1.0)
 
     def test_report_sorted_cycles_desc_then_name(self):
         _, prof = run_profiled(BASE)
