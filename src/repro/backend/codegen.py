@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from ..config import BuildConfig
 from ..errors import CodegenError
 from ..ir import core as ir
-from ..link.layout import MPX_STACK_OFFSET
+from ..link.layout import ELIDE_LIMIT, MPX_STACK_OFFSET
 from ..obs import events
 from ..taint.lattice import PRIVATE, PUBLIC, Taint
 from . import isa, regs
@@ -34,7 +34,6 @@ from .isa import Imm, Mem
 from .regalloc import Assignment, allocate
 
 WORD = 8
-ELIDE_LIMIT = 1 << 20  # guard-zone size: displacements below this may be elided
 
 
 def _region_tag(taint: Taint) -> str:

@@ -5,8 +5,8 @@ separate-compilation toolchain, mirroring the paper's per-unit compile
 -> object file -> linker structure (Sections 4 and 6):
 
 * :class:`~repro.build.session.BuildSession` — the staged driver.  Each
-  stage (parse -> sema/taint -> lower -> opt -> codegen) produces a
-  named, fingerprinted :class:`~repro.build.session.StageResult`;
+  stage (parse -> sema/taint -> lower -> opt -> codegen -> checkopt)
+  produces a named :class:`~repro.build.session.StageResult`;
   ``compile_unit`` yields a pre-link :class:`~repro.link.objfile.UObject`
   and ``build`` links (+optionally verifies) it into a ``Binary``.
 * :mod:`~repro.build.serialize` — a stable, versioned on-disk format

@@ -61,6 +61,15 @@ class SerializeError(ReproError):
     """An artifact could not be encoded or decoded."""
 
 
+#: What decoding a well-formed envelope around a malformed document can
+#: raise: a missing key, a wrong shape or type, an unknown field name,
+#: an out-of-range enum value, or a failed constructor invariant.
+_DECODE_ERRORS = (
+    AssertionError, AttributeError, IndexError, KeyError, TypeError,
+    ValueError,
+)
+
+
 # ---------------------------------------------------------------------------
 # Tagged-node codec for ISA instructions and metadata dataclasses.
 
@@ -202,7 +211,7 @@ def _open_envelope(data: bytes, kind: str) -> dict:
     try:
         doc = json.loads(data.decode())
     except (ValueError, UnicodeDecodeError) as error:
-        raise SerializeError(f"corrupt {kind} artifact: {error}")
+        raise SerializeError(f"corrupt {kind} artifact: {error}") from error
     if not isinstance(doc, dict):
         raise SerializeError(f"corrupt {kind} artifact: not an object")
     version = doc.get("format")
@@ -216,6 +225,12 @@ def _open_envelope(data: bytes, kind: str) -> dict:
             f"artifact kind mismatch: expected {kind!r}, got {doc.get('kind')!r}"
         )
     return doc
+
+
+def _malformed(kind: str, error: Exception) -> SerializeError:
+    return SerializeError(
+        f"malformed {kind} artifact: {type(error).__name__}: {error}"
+    )
 
 
 def _enc_config(config: BuildConfig) -> dict:
@@ -249,14 +264,17 @@ def dump_uobject(obj: UObject) -> bytes:
 def load_uobject(data: bytes) -> UObject:
     """Reconstruct a compilation unit from :func:`dump_uobject` bytes."""
     doc = _open_envelope(data, "uobject")
-    return UObject(
-        name=doc["name"],
-        functions=[_dec(f) for f in doc["functions"]],
-        globals={name: _dec(g) for name, g in doc["globals"]},
-        imports=[_dec_sig(s) for s in doc["imports"]],
-        config=_dec_config(doc["config"]),
-        externals=[_dec_sig(s) for s in doc["externals"]],
-    )
+    try:
+        return UObject(
+            name=doc["name"],
+            functions=[_dec(f) for f in doc["functions"]],
+            globals={name: _dec(g) for name, g in doc["globals"]},
+            imports=[_dec_sig(s) for s in doc["imports"]],
+            config=_dec_config(doc["config"]),
+            externals=[_dec_sig(s) for s in doc["externals"]],
+        )
+    except _DECODE_ERRORS as error:
+        raise _malformed("uobject", error) from error
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +323,13 @@ def dump_binary(binary: Binary) -> bytes:
 def load_binary(data: bytes) -> Binary:
     """Reconstruct a linked, loadable binary from :func:`dump_binary`."""
     doc = _open_envelope(data, "binary")
+    try:
+        return _dec_binary(doc)
+    except _DECODE_ERRORS as error:
+        raise _malformed("binary", error) from error
+
+
+def _dec_binary(doc: dict) -> Binary:
     binary = Binary(
         code=[_dec(insn) for insn in doc["code"]],
         label_addrs=dict(doc["label_addrs"]),

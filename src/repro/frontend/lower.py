@@ -10,6 +10,7 @@ by the ``promote_slots`` optimization pass.
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 
 from ..errors import CodegenError
 from ..ir.core import (
@@ -137,8 +138,8 @@ class FunctionLowerer:
                 max(symbol.type.size, 1),
                 symbol.type.align,
                 _slot_taint(symbol.type),
+                symbol.address_taken or not symbol.type.is_scalar,
             )
-            slot.address_taken = symbol.address_taken or not symbol.type.is_scalar
             self._slots[symbol.uid] = slot
         # Parameters arrive in virtual registers and are spilled to
         # their slots (promotion un-spills the scalar ones).
@@ -287,10 +288,10 @@ class FunctionLowerer:
             default_block = self._func.new_block("sw.default")
         else:
             default_block = end
-        table = [
+        table = tuple(
             (case.value, blk.name)
             for case, blk in zip(stmt.cases, case_blocks)
-        ]
+        )
         self._terminate(SwitchBr(cond, table, default_block.name))
         # `break` exits the switch (C semantics); `continue` still
         # targets the enclosing loop, so only the break stack grows.
@@ -375,32 +376,19 @@ class FunctionLowerer:
     def _apply_index(
         self, mem: MemRef, index, elem_size: int, region: Taint
     ) -> MemRef:
-        mem = MemRef(
-            region=region,
-            base=mem.base,
-            slot=mem.slot,
-            global_name=mem.global_name,
-            index=mem.index,
-            scale=mem.scale,
-            disp=mem.disp,
-        )
+        mem = replace(mem, region=region)
         if isinstance(index, int):
-            mem.disp += index * elem_size
-            return mem
+            return replace(mem, disp=mem.disp + index * elem_size)
         if mem.index is not None:
             # Two index registers: fold the old one into the base.
             folded = self._temp(PUBLIC, "addr")
             self._emit(Lea(folded, mem))
             mem = MemRef(region=region, base=folded)
         if elem_size in (1, 2, 4, 8):
-            mem.index = index
-            mem.scale = elem_size
-        else:
-            scaled = self._temp(index.taint, "scaled")
-            self._emit(Bin("mul", scaled, index, elem_size))
-            mem.index = scaled
-            mem.scale = 1
-        return mem
+            return replace(mem, index=index, scale=elem_size)
+        scaled = self._temp(index.taint, "scaled")
+        self._emit(Bin("mul", scaled, index, elem_size))
+        return replace(mem, index=scaled, scale=1)
 
     def _lower_member_lvalue(self, node: ast.Member) -> tuple[MemRef, int]:
         struct, fld = self._member_field(node)
@@ -410,16 +398,7 @@ class FunctionLowerer:
             ptr = self._as_vreg(self._lower_expr(node.base))
             return MemRef(region=region, base=ptr, disp=fld.offset), size
         mem = self._storage_memref(node.base)
-        mem = MemRef(
-            region=region,
-            base=mem.base,
-            slot=mem.slot,
-            global_name=mem.global_name,
-            index=mem.index,
-            scale=mem.scale,
-            disp=mem.disp + fld.offset,
-        )
-        return mem, size
+        return replace(mem, region=region, disp=mem.disp + fld.offset), size
 
     def _member_field(self, node: ast.Member):
         base_type = node.base.type
@@ -665,8 +644,8 @@ class FunctionLowerer:
         ftype = callee_type.pointee
         assert isinstance(ftype, FuncType)
         n_fixed = len(ftype.params)
-        args = [self._lower_expr(arg) for arg in node.args]
-        arg_taints = [_outer_taint(p) for p in ftype.params]
+        args = tuple(self._lower_expr(arg) for arg in node.args)
+        arg_taints = tuple(_outer_taint(p) for p in ftype.params)
         ret_taint = (
             PUBLIC
             if isinstance(ftype.ret, VoidType)

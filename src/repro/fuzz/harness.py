@@ -62,6 +62,13 @@ VERIFIED_CONFIGS = (OUR_MPX, OUR_SEG)
 _OBSERVABLE = ("exit", "fault", "stdout", "out")
 _PERF = ("cycles", "instructions", "bnd_checks", "cfi_checks")
 
+#: Instruction budget of one oracle run.  Generated programs retire a
+#: few thousand instructions at most (seeds 0-39: 2,394), so one that
+#: exhausts this budget does not terminate — a generator bug, reported
+#: as its own finding rather than as a fault compared across configs.
+OBSERVE_BUDGET = 1_000_000
+_BUDGET_FAULT = "instruction-budget-exhausted"
+
 
 @dataclass
 class Finding:
@@ -136,7 +143,7 @@ def _observe(binary, engine: str = DEFAULT_ENGINE) -> dict:
     fault = None
     exit_code = None
     try:
-        exit_code = process.run()
+        exit_code = process.run(OBSERVE_BUDGET)
     except MachineFault as f:
         fault = f.kind
     return {
@@ -178,6 +185,18 @@ def check_program(body: str) -> list[tuple[str, str]]:
                 )
             )
     fast = {name: _observe(binary) for name, binary in binaries.items()}
+    endless = [
+        name for name, obs in fast.items() if obs["fault"] == _BUDGET_FAULT
+    ]
+    if endless:
+        problems.append(
+            (
+                "budget-exhausted",
+                f"{', '.join(endless)}: still running after "
+                f"{OBSERVE_BUDGET} instructions",
+            )
+        )
+        return problems
     base_obs = fast[BASE.name]
     for config in VERIFIED_CONFIGS:
         obs = fast[config.name]

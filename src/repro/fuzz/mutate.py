@@ -37,8 +37,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from ..backend import isa, regs
+from ..link.layout import ELIDE_LIMIT
 from ..link.objfile import Binary
-from ..verifier.verify import ELIDE_LIMIT
 
 _SIMPLE_INSNS = (
     isa.Alu,

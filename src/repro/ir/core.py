@@ -12,6 +12,12 @@ memory access carries a concrete :class:`~repro.taint.lattice.Taint`
 backend uses the access ``region`` to pick the MPX bounds register or
 fs/gs segment prefix, and slot/vreg taints to pick the public or the
 private stack.
+
+IR nodes — instructions, :class:`MemRef`, :class:`StackSlot` and
+:class:`VReg` — are immutable (frozen dataclasses whose sequence fields
+are tuples).  A pass rewrites a block by replacing nodes, so the
+certified pass manager can snapshot a function by sharing them and
+compare old and new nodes by value.  Blocks and functions stay mutable.
 """
 
 from __future__ import annotations
@@ -34,15 +40,17 @@ UN_OPS = frozenset({"neg", "not"})
 Operand = object  # VReg | int
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class VReg:
-    """A virtual register with a fixed taint."""
+    """A virtual register with a fixed taint.
 
-    __slots__ = ("id", "taint", "hint")
+    Compared and hashed by identity: two registers with the same id are
+    the same register only if they are the same object.
+    """
 
-    def __init__(self, id_: int, taint: Taint, hint: str = ""):
-        self.id = id_
-        self.taint = taint
-        self.hint = hint
+    id: int
+    taint: Taint
+    hint: str = ""
 
     def __repr__(self) -> str:
         tag = "H" if self.taint is Taint.PRIVATE else "L"
@@ -50,7 +58,7 @@ class VReg:
         return f"%{self.id}{tag}{suffix}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class StackSlot:
     """A named chunk of a function's frame, on the stack of its taint."""
 
@@ -60,8 +68,6 @@ class StackSlot:
     align: int
     taint: Taint
     address_taken: bool = False
-    # Assigned by the backend's frame layout:
-    offset: int = -1
 
     def __repr__(self) -> str:
         tag = "H" if self.taint is Taint.PRIVATE else "L"
@@ -89,7 +95,7 @@ class Instr:
         return False
 
 
-@dataclass
+@dataclass(frozen=True)
 class Const(Instr):
     dst: VReg
     value: int
@@ -101,7 +107,7 @@ class Const(Instr):
         return f"{self.dst!r} = const {self.value}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Copy(Instr):
     dst: VReg
     src: Operand
@@ -116,7 +122,7 @@ class Copy(Instr):
         return f"{self.dst!r} = {self.src!r}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Un(Instr):
     op: str
     dst: VReg
@@ -132,7 +138,7 @@ class Un(Instr):
         return f"{self.dst!r} = {self.op} {self.src!r}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Bin(Instr):
     op: str
     dst: VReg
@@ -149,7 +155,7 @@ class Bin(Instr):
         return f"{self.dst!r} = {self.op} {self.a!r}, {self.b!r}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class MemRef:
     """An IR memory reference: exactly one of ``base`` (a pointer
     register), ``slot`` (frame-relative) or ``global_name`` is set, plus
@@ -195,7 +201,7 @@ class MemRef:
         return f"{tag}[{' + '.join(parts)}]"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Load(Instr):
     """``dst = size-byte load mem`` (zero-extending for size 1)."""
 
@@ -213,7 +219,7 @@ class Load(Instr):
         return f"{self.dst!r} = load{self.size} {self.mem!r}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Store(Instr):
     mem: MemRef
     src: Operand
@@ -226,7 +232,7 @@ class Store(Instr):
         return f"store{self.size} {self.mem!r}, {self.src!r}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Lea(Instr):
     """Materialize the effective address of a memory reference."""
 
@@ -243,7 +249,7 @@ class Lea(Instr):
         return f"{self.dst!r} = lea {self.mem!r}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class LocalAddr(Instr):
     dst: VReg
     slot: StackSlot
@@ -255,7 +261,7 @@ class LocalAddr(Instr):
         return f"{self.dst!r} = addr {self.slot!r}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class GlobalAddr(Instr):
     dst: VReg
     name: str
@@ -267,7 +273,7 @@ class GlobalAddr(Instr):
         return f"{self.dst!r} = addr @{self.name}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class FuncAddr(Instr):
     dst: VReg
     fname: str
@@ -279,7 +285,7 @@ class FuncAddr(Instr):
         return f"{self.dst!r} = funcaddr {self.fname}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Call(Instr):
     """Direct call.  ``arg_taints``/``ret_taint`` snapshot the callee
     signature so the backend can emit magic-sequence taint bits without
@@ -287,8 +293,8 @@ class Call(Instr):
 
     dst: VReg | None
     name: str
-    args: list[Operand]
-    arg_taints: list[Taint]
+    args: tuple[Operand, ...]
+    arg_taints: tuple[Taint, ...]
     ret_taint: Taint
     n_fixed: int  # args beyond n_fixed are variadic (public, stack-passed)
 
@@ -304,12 +310,12 @@ class Call(Instr):
         return f"{dst}call {self.name}({args})"
 
 
-@dataclass
+@dataclass(frozen=True)
 class CallIndirect(Instr):
     dst: VReg | None
     target: VReg
-    args: list[Operand]
-    arg_taints: list[Taint]
+    args: tuple[Operand, ...]
+    arg_taints: tuple[Taint, ...]
     ret_taint: Taint
     n_fixed: int
 
@@ -325,7 +331,7 @@ class CallIndirect(Instr):
         return f"{dst}icall {self.target!r}({args})"
 
 
-@dataclass
+@dataclass(frozen=True)
 class TlsBaseAddr(Instr):
     """The current thread's TLS base (rsp masked to the stack base)."""
 
@@ -338,7 +344,7 @@ class TlsBaseAddr(Instr):
         return f"{self.dst!r} = tlsbase"
 
 
-@dataclass
+@dataclass(frozen=True)
 class VarArgAddr(Instr):
     """Address of the index-th variadic slot of the *current* frame."""
 
@@ -358,7 +364,7 @@ class VarArgAddr(Instr):
 # Terminators
 
 
-@dataclass
+@dataclass(frozen=True)
 class Jump(Instr):
     target: str
 
@@ -370,7 +376,7 @@ class Jump(Instr):
         return f"jump {self.target}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Branch(Instr):
     cond: VReg
     if_true: str
@@ -387,7 +393,7 @@ class Branch(Instr):
         return f"branch {self.cond!r} ? {self.if_true} : {self.if_false}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class SwitchBr(Instr):
     """Multi-way branch.  The backend lowers it to a jump table under
     the vanilla pipeline (when dense) or to a compare chain under
@@ -395,7 +401,7 @@ class SwitchBr(Instr):
     rejects indirect jumps (Section 4, "Indirect jumps")."""
 
     cond: VReg
-    table: list[tuple[int, str]]  # (case value, block label)
+    table: tuple[tuple[int, str], ...]  # (case value, block label)
     default: str
 
     def _use_operands(self):
@@ -410,7 +416,7 @@ class SwitchBr(Instr):
         return f"switch {self.cond!r} [{arms}] else {self.default}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Ret(Instr):
     value: Operand | None
 
@@ -472,9 +478,16 @@ class IRFunction:
         return vreg
 
     def new_slot(
-        self, name: str, size: int, align: int, taint: Taint
+        self,
+        name: str,
+        size: int,
+        align: int,
+        taint: Taint,
+        address_taken: bool = False,
     ) -> StackSlot:
-        slot = StackSlot(self._next_slot, name, size, align, taint)
+        slot = StackSlot(
+            self._next_slot, name, size, align, taint, address_taken
+        )
         self._next_slot += 1
         self.slots.append(slot)
         return slot

@@ -31,6 +31,9 @@ GB = 1024 * MB
 # structure, not the size, is what the scheme depends on).
 REGION_SIZE = 64 * MB
 GUARD_SIZE = 2 * MB  # covers the +/- 1 MiB elidable displacement
+#: Bound checks may drop displacements below this (codegen, checkopt,
+#: ConfVerify): the guard areas absorb any access that far out.
+ELIDE_LIMIT = GUARD_SIZE // 2
 
 THREAD_STACK_SIZE = 1 * MB  # paper default, 1 MiB aligned
 MAX_THREADS = 8

@@ -39,11 +39,9 @@ import hashlib
 from dataclasses import dataclass, field
 
 from ..backend import isa
+from ..link.layout import ELIDE_LIMIT
 from ..obs import events
 from .witness import WitnessError
-
-#: Mirrors the verifier's elidable-displacement window (verify.py).
-ELIDE_LIMIT = 1 << 20
 
 #: Instructions that end an extended basic block for check evidence:
 #: labels (potential join points), control transfers, and calls (the
@@ -170,11 +168,6 @@ class CheckOptWitness:
     pre_digest: str
     post_digest: str = ""
     edits: list[tuple] = field(default_factory=list)
-
-    def digest(self) -> str:
-        parts = [self.function, self.pre_digest, self.post_digest]
-        parts.extend(repr(e) for e in self.edits)
-        return hashlib.sha256("\0".join(parts).encode()).hexdigest()
 
 
 def optimize_checks(
@@ -356,16 +349,13 @@ def check_checkopt_witness(
 # Driver: certify and commit per function.
 
 
-def run_checkopt(obj, config) -> str:
+def run_checkopt(obj, config) -> None:
     """Optimize every function of a pre-link unit in place.
 
     Each function's edit script is validated by
     :func:`check_checkopt_witness` before being committed; a rejected
-    witness keeps that function's original stream.  Returns a digest
-    folding the accepted witnesses (chained into the build session's
-    ``checkopt`` stage fingerprint).
+    witness keeps that function's original stream.
     """
-    digests: list[str] = []
     registry = events.active()
     with events.span("compile.checkopt"):
         for func in obj.functions:
@@ -381,10 +371,8 @@ def run_checkopt(obj, config) -> str:
                     ).inc()
                 continue
             func.insns = optimized
-            digests.append(witness.digest())
             if registry is not None:
                 for edit in witness.edits:
                     events.counter(
                         "opt.checkopt", kind=edit[0]
                     ).inc()
-    return hashlib.sha256("\n".join(digests).encode()).hexdigest()

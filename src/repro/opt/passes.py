@@ -21,6 +21,8 @@ runs the pass uncertified (direct unit-test use).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from ..arith import eval_bin, eval_un
 from ..errors import MachineFault
 from ..ir.core import (
@@ -225,15 +227,7 @@ def _rewrite_mem(mem: MemRef, env) -> MemRef:
         base = mem.base
     if base is mem.base and index is mem.index and disp == mem.disp:
         return mem
-    return MemRef(
-        region=mem.region,
-        base=base,
-        slot=mem.slot,
-        global_name=mem.global_name,
-        index=index,
-        scale=mem.scale,
-        disp=disp,
-    )
+    return replace(mem, base=base, index=index, disp=disp)
 
 
 def _rewrite_uses(instr, env):
@@ -252,25 +246,15 @@ def _rewrite_uses(instr, env):
     if isinstance(instr, Lea):
         return Lea(instr.dst, _rewrite_mem(instr.mem, env))
     if isinstance(instr, Call):
-        return Call(
-            instr.dst,
-            instr.name,
-            [_subst(a, env) for a in instr.args],
-            instr.arg_taints,
-            instr.ret_taint,
-            instr.n_fixed,
-        )
+        return replace(instr, args=tuple(_subst(a, env) for a in instr.args))
     if isinstance(instr, CallIndirect):
         target = _subst(instr.target, env)
         if isinstance(target, int):
             target = instr.target
-        return CallIndirect(
-            instr.dst,
-            target,
-            [_subst(a, env) for a in instr.args],
-            instr.arg_taints,
-            instr.ret_taint,
-            instr.n_fixed,
+        return replace(
+            instr,
+            target=target,
+            args=tuple(_subst(a, env) for a in instr.args),
         )
     if isinstance(instr, VarArgAddr):
         return VarArgAddr(instr.dst, _subst(instr.index, env))

@@ -24,6 +24,10 @@ trust in the pass:
 * shared virtual registers must keep their taint, and rewritten memory
   accesses their region, bit-for-bit.
 
+Changes are found by comparing IR nodes by value, field by field.  The
+nodes are immutable, so the pre-pass snapshot shares them with the
+function: a pass can only replace a node, never edit one in place.
+
 The checker is deliberately smaller and dumber than the passes — the
 point of translation validation is that the TCB grows by this file,
 not by the optimizer.
@@ -43,19 +47,11 @@ from ..ir.core import (
     CallIndirect,
     Const,
     Copy,
-    FuncAddr,
-    GlobalAddr,
     IRFunction,
     Jump,
     Lea,
     Load,
-    LocalAddr,
-    MemRef,
-    Ret,
-    StackSlot,
     Store,
-    SwitchBr,
-    TlsBaseAddr,
     Un,
     VarArgAddr,
     VReg,
@@ -98,15 +94,6 @@ class Witness:
     def add(self, kind: str, site: str, *claim) -> None:
         self.obligations.append(Obligation(kind, site, tuple(claim)))
 
-    def digest(self) -> str:
-        """Content digest of the whole witness (for stage fingerprints)."""
-        parts = [self.pass_name, self.function, self.origin,
-                 self.pre_digest, self.post_digest]
-        parts.extend(
-            f"{o.kind}|{o.site}|{o.claim!r}" for o in self.obligations
-        )
-        return hashlib.sha256("\0".join(parts).encode()).hexdigest()
-
 
 # ---------------------------------------------------------------------------
 # IR snapshot / digest / restore — the revert machinery.
@@ -121,103 +108,14 @@ def function_digest(func: IRFunction) -> str:
     return hashlib.sha256("\n".join(parts).encode()).hexdigest()
 
 
-class _Cloner:
-    """Deep-clones a function body, preserving VReg/slot identity webs."""
-
-    def __init__(self):
-        self._vregs: dict[int, VReg] = {}
-        self._slots: dict[int, StackSlot] = {}
-
-    def vreg(self, v):
-        if not isinstance(v, VReg):
-            return v  # int operand (or None)
-        clone = self._vregs.get(v.id)
-        if clone is None:
-            clone = VReg(v.id, v.taint, v.hint)
-            self._vregs[v.id] = clone
-        return clone
-
-    def slot(self, s: StackSlot) -> StackSlot:
-        clone = self._slots.get(s.uid)
-        if clone is None:
-            clone = StackSlot(
-                s.uid, s.name, s.size, s.align, s.taint,
-                s.address_taken, s.offset,
-            )
-            self._slots[s.uid] = clone
-        return clone
-
-    def mem(self, m: MemRef) -> MemRef:
-        return MemRef(
-            region=m.region,
-            base=self.vreg(m.base) if m.base is not None else None,
-            slot=self.slot(m.slot) if m.slot is not None else None,
-            global_name=m.global_name,
-            index=self.vreg(m.index) if m.index is not None else None,
-            scale=m.scale,
-            disp=m.disp,
-        )
-
-    def instr(self, i):
-        v = self.vreg
-        if isinstance(i, Const):
-            return Const(v(i.dst), i.value)
-        if isinstance(i, Copy):
-            return Copy(v(i.dst), v(i.src))
-        if isinstance(i, Un):
-            return Un(i.op, v(i.dst), v(i.src))
-        if isinstance(i, Bin):
-            return Bin(i.op, v(i.dst), v(i.a), v(i.b))
-        if isinstance(i, Load):
-            return Load(v(i.dst), self.mem(i.mem), i.size)
-        if isinstance(i, Store):
-            return Store(self.mem(i.mem), v(i.src), i.size)
-        if isinstance(i, Lea):
-            return Lea(v(i.dst), self.mem(i.mem))
-        if isinstance(i, LocalAddr):
-            return LocalAddr(v(i.dst), self.slot(i.slot))
-        if isinstance(i, GlobalAddr):
-            return GlobalAddr(v(i.dst), i.name)
-        if isinstance(i, FuncAddr):
-            return FuncAddr(v(i.dst), i.fname)
-        if isinstance(i, TlsBaseAddr):
-            return TlsBaseAddr(v(i.dst))
-        if isinstance(i, VarArgAddr):
-            return VarArgAddr(v(i.dst), v(i.index))
-        if isinstance(i, Call):
-            return Call(
-                v(i.dst) if i.dst is not None else None,
-                i.name, [v(a) for a in i.args],
-                list(i.arg_taints), i.ret_taint, i.n_fixed,
-            )
-        if isinstance(i, CallIndirect):
-            return CallIndirect(
-                v(i.dst) if i.dst is not None else None,
-                v(i.target), [v(a) for a in i.args],
-                list(i.arg_taints), i.ret_taint, i.n_fixed,
-            )
-        if isinstance(i, Jump):
-            return Jump(i.target)
-        if isinstance(i, Branch):
-            return Branch(v(i.cond), i.if_true, i.if_false)
-        if isinstance(i, SwitchBr):
-            return SwitchBr(v(i.cond), list(i.table), i.default)
-        if isinstance(i, Ret):
-            return Ret(v(i.value) if i.value is not None else None)
-        raise WitnessError(f"cannot snapshot instruction {i!r}")
-
-
 def snapshot_function(func: IRFunction) -> IRFunction:
-    """A deep clone of ``func`` (same counters, fresh object web)."""
-    cloner = _Cloner()
-    snap = IRFunction(func.name, func.sig, list(func.param_names))
+    """A pre-pass copy of ``func``: fresh block, slot and parameter
+    lists sharing the (immutable) IR nodes, and the same counters."""
+    snap = IRFunction(func.name, func.sig, func.param_names)
     snap.origin = func.origin
-    snap.param_vregs = [cloner.vreg(v) for v in func.param_vregs]
-    snap.slots = [cloner.slot(s) for s in func.slots]
-    snap.blocks = [
-        Block(b.name, [cloner.instr(i) for i in b.instrs])
-        for b in func.blocks
-    ]
+    snap.param_vregs = list(func.param_vregs)
+    snap.slots = list(func.slots)
+    snap.blocks = [Block(b.name, list(b.instrs)) for b in func.blocks]
     snap._next_vreg = func._next_vreg
     snap._next_slot = func._next_slot
     snap._next_block = func._next_block
@@ -238,8 +136,8 @@ def restore_function(func: IRFunction, snap: IRFunction) -> None:
 # ---------------------------------------------------------------------------
 # The checker.
 
-def _block_reprs(func: IRFunction) -> dict[str, list[str]]:
-    return {b.name: [repr(i) for i in b.instrs] for b in func.blocks}
+def _block_bodies(func: IRFunction) -> dict[str, list]:
+    return {b.name: b.instrs for b in func.blocks}
 
 
 def _vreg_taints(func: IRFunction) -> dict[int, object]:
@@ -290,8 +188,8 @@ def check_witness(
     if witness.post_digest != function_digest(post):
         raise WitnessError(f"{post.name}: stale post-IR digest in witness")
 
-    pre_blocks = _block_reprs(pre)
-    post_blocks = _block_reprs(post)
+    pre_blocks = _block_bodies(pre)
+    post_blocks = _block_bodies(post)
     for name in post_blocks:
         if name not in pre_blocks:
             raise WitnessError(
@@ -413,7 +311,7 @@ def _require_positionwise(
                 "under a positionwise pass"
             )
         for i, pre_instr in enumerate(old.instrs):
-            if repr(block.instrs[i + off]) != repr(pre_instr):
+            if block.instrs[i + off] != pre_instr:
                 if f"{block.name}@{i}" not in sites:
                     raise WitnessError(
                         f"{post.name}: rewrite at {block.name}@{i} has "
@@ -575,11 +473,9 @@ def _check_dce(witness, pre, post):
             i for (name, i) in sites if name == block.name
         }
         kept = [
-            repr(instr)
-            for i, instr in enumerate(old.instrs)
-            if i not in deleted
+            instr for i, instr in enumerate(old.instrs) if i not in deleted
         ]
-        if kept != [repr(i) for i in block.instrs]:
+        if kept != block.instrs:
             raise WitnessError(
                 f"{post.name}: block {block.name} is not pre minus the "
                 "claimed deletions"
@@ -644,9 +540,7 @@ def _check_simplify_cfg(witness, pre, post):
             new_block = _post_block(post, block_name, post.name)
             old_block = _pre_block(pre, block_name, post.name)
             n = len(old_block.instrs)
-            if [repr(i) for i in new_block.instrs[: n - 1]] != [
-                repr(i) for i in old_block.instrs[:-1]
-            ]:
+            if new_block.instrs[: n - 1] != old_block.instrs[:-1]:
                 raise WitnessError(
                     f"{post.name}: thread rewrote more than the "
                     f"terminator of {block_name}"
@@ -716,11 +610,11 @@ def _check_simplify_cfg(witness, pre, post):
                 )
             old = _pre_block(pre, name, post.name)
             absorber = _post_block(post, into, post.name)
-            body = [repr(i) for i in absorber.instrs]
+            body = absorber.instrs
             # The surviving block must still start with its own pre
             # body (sans terminator, which the merge consumed)...
             pre_into = _pre_block(pre, into, post.name)
-            head = [repr(i) for i in pre_into.instrs[:-1]]
+            head = pre_into.instrs[:-1]
             if body[: len(head)] != head:
                 raise WitnessError(
                     f"{post.name}: merge into {into} disturbed the "
@@ -728,7 +622,7 @@ def _check_simplify_cfg(witness, pre, post):
                 )
             # ...and the absorbed body (sans its possibly-rethreaded
             # terminator) must appear inside it.
-            needle = [repr(i) for i in old.instrs[:-1]]
+            needle = old.instrs[:-1]
             if needle and not _contains_run(body, needle):
                 raise WitnessError(
                     f"{post.name}: merged block {name} body not found "
@@ -741,7 +635,7 @@ def _check_simplify_cfg(witness, pre, post):
             )
 
 
-def _contains_run(haystack: list[str], needle: list[str]) -> bool:
+def _contains_run(haystack: list, needle: list) -> bool:
     n = len(needle)
     return any(
         haystack[i:i + n] == needle

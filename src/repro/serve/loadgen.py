@@ -23,7 +23,7 @@ the committed seed trajectory.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from ..errors import ServeError
 from ..machine.cpu import DEFAULT_ENGINE
@@ -89,30 +89,7 @@ class ServeReport:
     per_tenant: dict
 
     def to_json(self) -> dict:
-        return {
-            "app": self.app,
-            "config": self.config,
-            "engine": self.engine,
-            "seed": self.seed,
-            "tenants": self.tenants,
-            "pool_size": self.pool_size,
-            "batch": self.batch,
-            "budget": self.budget,
-            "requests": self.requests,
-            "ok": self.ok,
-            "valid": self.valid,
-            "faults": self.faults,
-            "evictions": self.evictions,
-            "wall_s": self.wall_s,
-            "throughput_rps": self.throughput_rps,
-            "latency_wall_ms": self.latency_wall_ms,
-            "latency_cycles": self.latency_cycles,
-            "total_cycles": self.total_cycles,
-            "total_instructions": self.total_instructions,
-            "total_checks": self.total_checks,
-            "setup": self.setup,
-            "per_tenant": self.per_tenant,
-        }
+        return asdict(self)
 
     def bench_entry(self) -> dict:
         """A bench_store benchmark entry (deterministic fields only —

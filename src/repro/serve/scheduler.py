@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from ..errors import MachineFault, ServeError
 from .image import DEFAULT_BUDGET, MachineImage, ServeInstance
@@ -94,17 +94,7 @@ class TenantCounters:
     max_queue_depth: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "requests": self.requests,
-            "faults": self.faults,
-            "evictions": self.evictions,
-            "resets": self.resets,
-            "batches": self.batches,
-            "cycles": self.cycles,
-            "instructions": self.instructions,
-            "checks": self.checks,
-            "max_queue_depth": self.max_queue_depth,
-        }
+        return asdict(self)
 
 
 @dataclass

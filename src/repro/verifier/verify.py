@@ -39,12 +39,11 @@ from dataclasses import dataclass
 from ..arith import MASK64
 from ..backend import isa, regs
 from ..errors import VerifyError
-from ..link.layout import MPX_STACK_OFFSET
+from ..link.layout import ELIDE_LIMIT, MPX_STACK_OFFSET
 from ..link.objfile import Binary
 from ..obs import events
 
 L, H = 0, 1
-ELIDE_LIMIT = 1 << 20
 
 _TRACKED_REGS = tuple(range(regs.NUM_GPRS))
 

@@ -182,3 +182,22 @@ class TestCorruptEntryRecovery:
         assert snap["build.cache.bad_entry"] == 1
         # The entry was rewritten with a valid object.
         json.loads(path.read_bytes().decode())
+
+    def test_corrupt_but_json_entry_recompiled(self, tmp_path):
+        """An entry that still parses as JSON but no longer decodes (an
+        unknown instruction field) is a bad entry, not a crash."""
+        cache = ObjectCache(tmp_path)
+        session = BuildSession(cache=cache)
+        good = session.build(PROGRAM, OUR_MPX, seed=2)
+        digest, _, _ = cache.entries()[0]
+        path = pathlib.Path(cache.path_for(digest))
+        data = path.read_bytes()
+        path.write_bytes(data.replace(b'"src":', b'"arc":', 1))
+        json.loads(path.read_bytes().decode())
+
+        registry = events.Registry()
+        with events.use(registry):
+            again = session.build(PROGRAM, OUR_MPX, seed=2)
+        assert dump_binary(again) == dump_binary(good)
+        assert registry.metrics_snapshot()["build.cache.bad_entry"] == 1
+        assert path.read_bytes() == data

@@ -7,6 +7,7 @@ region-relevant feature: globals, function pointers, varargs.
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -170,3 +171,44 @@ class TestFormatVersioning:
             load_uobject(b"\x00\x01not json")
         with pytest.raises(SerializeError):
             load_binary(b"[]")
+
+
+class TestMalformedDocuments:
+    """Decoding is total: a corrupted artifact either loads or raises
+    SerializeError, never a raw Python exception."""
+
+    #: Bytes that keep a corrupted document JSON more often than not, so
+    #: most corruptions get past the parser and into the decoder.
+    JSONISH = b'0123456789"[]{},:-.eEtrufalsn $xyz'
+
+    def artifact(self, kind):
+        if kind == "uobject":
+            obj = BuildSession().compile_unit(FUNCPTR_APP, OUR_MPX, seed=SEED)
+            return dump_uobject(obj), load_uobject
+        binary = compile_source(FUNCPTR_APP, OUR_MPX, seed=SEED)
+        return dump_binary(binary), load_binary
+
+    @pytest.mark.parametrize("kind", ["uobject", "binary"])
+    def test_seeded_corruptions_raise_serialize_error(self, kind):
+        data, loader = self.artifact(kind)
+        rng = random.Random(0)
+        rejected = 0
+        for _ in range(400):
+            buf = bytearray(data)
+            for _ in range(rng.randint(1, 4)):
+                pos = rng.randrange(len(buf))
+                buf[pos] = self.JSONISH[rng.randrange(len(self.JSONISH))]
+            try:
+                loader(bytes(buf))
+            except SerializeError:
+                rejected += 1
+        assert rejected > 0
+
+    @pytest.mark.parametrize("kind", ["uobject", "binary"])
+    def test_unknown_field_chains_the_decode_error(self, kind):
+        data, loader = self.artifact(kind)
+        bad = data.replace(b'"src":', b'"arc":', 1)
+        assert bad != data
+        with pytest.raises(SerializeError) as info:
+            loader(bad)
+        assert isinstance(info.value.__cause__, TypeError)

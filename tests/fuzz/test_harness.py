@@ -9,6 +9,7 @@ import pytest
 from repro.errors import ReproError
 from repro.fuzz.gen import generate_source
 from repro.fuzz.harness import (
+    OBSERVE_BUDGET,
     FuzzReport,
     Finding,
     _strip_prototypes,
@@ -48,6 +49,17 @@ def test_check_program_detects_config_divergence():
     )
     kinds = {kind for kind, _ in problems}
     assert kinds == {"config-divergence"}
+
+
+def test_endless_program_is_a_budget_finding():
+    # Every config exhausts the budget alike, so comparing faults across
+    # configs would hide the hang; it must be a finding of its own, and
+    # arrive after OBSERVE_BUDGET instructions, not 500M.
+    start = time.monotonic()
+    problems = check_program("int main() { while (1) { } return 0; }\n")
+    assert [kind for kind, _ in problems] == ["budget-exhausted"]
+    assert str(OBSERVE_BUDGET) in problems[0][1]
+    assert time.monotonic() - start < 60
 
 
 def test_fuzz_programs_is_reproducible():

@@ -1,10 +1,12 @@
 """Certified pass framework tests: witness emission, validation,
 rejection-and-revert, and the bounded fixpoint loop."""
 
+from dataclasses import FrozenInstanceError, fields, replace
+
 import pytest
 
 from repro.frontend import lower_program
-from repro.ir import Const, VReg, verify_module
+from repro.ir import Call, Const, Load, verify_module
 from repro.minic import analyze, parse
 from repro.obs import events
 from repro.opt import (
@@ -31,6 +33,14 @@ int f(int n) {
 }
 
 int main() { return f(5); }
+"""
+
+
+DECLASSIFY = T_PROTOTYPES + """
+int main() {
+    private int secret = 42;
+    return declassify_int(secret + 0);
+}
 """
 
 
@@ -81,12 +91,17 @@ class TestAcceptance:
             k: v for k, v in snap.items() if "witness_rejected" in k
         }
         assert not rejected, rejected
-        assert module.opt_witness_digest
+        verify_module(module)
 
-    def test_witness_digest_deterministic(self):
-        a = optimize_module(ir_of()).opt_witness_digest
-        b = optimize_module(ir_of()).opt_witness_digest
-        assert a == b
+    def test_optimized_function_digests_deterministic(self):
+        def digests():
+            module = optimize_module(ir_of())
+            return {
+                name: function_digest(func)
+                for name, func in module.functions.items()
+            }
+
+        assert digests() == digests()
 
 
 class TestRejection:
@@ -146,6 +161,20 @@ class TestRejection:
 
 
 class TestRevert:
+    def assert_reverted(self, fn, func):
+        """Run ``fn`` as a certified pass and require the checker to
+        reject it and restore ``func`` exactly."""
+        before = [list(b.instrs) for b in func.blocks]
+        digest = function_digest(func)
+        registry = events.Registry()
+        with events.use(registry):
+            changed, witness = run_certified_pass(Pass("dce", fn), func)
+        assert not changed and witness is None
+        assert [b.instrs for b in func.blocks] == before
+        assert function_digest(func) == digest
+        snap = registry.metrics_snapshot()
+        assert snap.get("opt.witness_rejected{pass=dce}") == 1
+
     def test_bad_pass_is_reverted_and_counted(self):
         """A pass that rewrites without justification is rolled back."""
 
@@ -167,32 +196,113 @@ class TestRevert:
         assert snap.get("opt.witness_rejected{pass=dce}") == 1
 
     def test_taint_laundering_pass_is_reverted(self):
-        """A pass that flips a vreg's taint is caught by the global
-        taint-preservation check, whatever it claims."""
+        """A vreg's taint cannot be flipped in place (the IR is frozen),
+        and a pass that launders one by swapping in a PUBLIC register
+        with the same id is caught, whatever it claims."""
+        f = ir_of(DECLASSIFY).functions["main"]
+        secret = next(
+            v
+            for block in f.blocks
+            for instr in block.instrs
+            for v in instr.defs()
+            if v.taint is Taint.PRIVATE
+        )
+        with pytest.raises(FrozenInstanceError):
+            secret.taint = Taint.PUBLIC
 
         def launder(func, witness=None):
             for block in func.blocks:
-                for instr in block.instrs:
-                    for v in instr.defs():
-                        if v.taint is Taint.PRIVATE:
-                            v.taint = Taint.PUBLIC
-                            return True
+                for i, instr in enumerate(block.instrs):
+                    dst = getattr(instr, "dst", None)
+                    if dst is not None and dst.taint is Taint.PRIVATE:
+                        public = replace(dst, taint=Taint.PUBLIC)
+                        block.instrs[i] = replace(instr, dst=public)
+                        return True
             return False
 
+        self.assert_reverted(launder, f)
+
+    def test_call_taint_flip_is_reverted(self):
+        """``Call.__repr__`` omits ``arg_taints``: flipping the taint a
+        call passes its argument at must still count as a change."""
+
+        def flip(func, witness=None):
+            for block in func.blocks:
+                for i, instr in enumerate(block.instrs):
+                    if is_declassify(instr):
+                        block.instrs[i] = replace(
+                            instr, arg_taints=(Taint.PUBLIC,)
+                        )
+                        return True
+            return False
+
+        def is_declassify(instr):
+            return isinstance(instr, Call) and instr.name == "declassify_int"
+
+        f = ir_of(DECLASSIFY).functions["main"]
+        call = next(
+            i for b in f.blocks for i in b.instrs if is_declassify(i)
+        )
+        assert tuple(call.arg_taints) == (Taint.PRIVATE,)
+        self.assert_reverted(flip, f)
+
+    def test_index_free_scale_change_is_reverted(self):
+        """``MemRef.__repr__`` omits ``scale`` without an index: a pass
+        that changes only that field must still count as a change."""
+
+        def rescale(func, witness=None):
+            for block in func.blocks:
+                for i, instr in enumerate(block.instrs):
+                    if isinstance(instr, Load) and instr.mem.index is None:
+                        mem = replace(instr.mem, scale=instr.mem.scale + 1)
+                        block.instrs[i] = replace(instr, mem=mem)
+                        assert repr(block.instrs[i]) == repr(instr)
+                        return True
+            return False
+
+        self.assert_reverted(rescale, ir_of().functions["f"])
+
+
+class TestFrozenIR:
+    def test_no_ir_node_field_is_assignable(self):
         module = ir_of(
             T_PROTOTYPES
             + """
+            int g[4];
+            int id(int x) { return x; }
             int main() {
-                private int secret = 42;
-                return declassify_int(secret + 0);
+                int a[4];
+                int (*p)(int);
+                p = id;
+                int i = 0;
+                switch (g[1]) { case 1: i = 2; break; default: i = 3; }
+                a[i] = p(i);
+                return declassify_int((private int)a[i]);
             }
             """
         )
-        f = module.functions["main"]
-        before = blocks_repr(f)
-        changed, witness = run_certified_pass(Pass("dce", launder), f)
-        assert not changed and witness is None
-        assert blocks_repr(f) == before
+        nodes = []
+        for func in module.functions.values():
+            nodes.extend(func.slots)
+            nodes.extend(func.param_vregs)
+            for block in func.blocks:
+                for instr in block.instrs:
+                    nodes.append(instr)
+                    nodes.extend(instr.uses())
+                    nodes.extend(instr.defs())
+                    if getattr(instr, "mem", None) is not None:
+                        nodes.append(instr.mem)
+        kinds = {type(n).__name__ for n in nodes}
+        assert {
+            "VReg", "StackSlot", "MemRef", "Call", "CallIndirect", "SwitchBr",
+            "Store",
+        } <= kinds
+        for node in nodes:
+            for fld in fields(node):
+                value = getattr(node, fld.name)
+                assert not isinstance(value, list), (node, fld.name)
+                with pytest.raises(FrozenInstanceError):
+                    setattr(node, fld.name, value)
 
 
 class TestBoundedFixpoint:
