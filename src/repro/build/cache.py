@@ -5,6 +5,13 @@ under their :func:`~repro.build.serialize.object_cache_key` digest:
 
     <root>/<first two hex chars>/<digest>.uo
 
+Each entry carries a sha256 of its payload, as a JSON object
+``{"sha256":"<hex>","object":<payload>}`` whose prefix has a fixed
+length, so reading it back needs no JSON parse.  An entry whose digest
+does not match — a flipped operand digit still decodes as a valid
+object — is never served: ``get`` counts it as
+``build.cache.bad_entry`` and reports a miss, so the unit is rebuilt.
+
 Writes are atomic (temp file + ``os.replace``) so concurrent builders
 — several processes sharing one cache directory — never observe torn
 entries, and a crash mid-write leaves no partial entry behind.  Reads
@@ -12,18 +19,44 @@ bump the entry mtime, which drives least-recently-used eviction when
 ``max_entries`` is set.
 
 Every operation flows through ``repro.obs`` counters:
-``build.cache.hit``, ``build.cache.miss``, ``build.cache.store`` and
-``build.cache.evict`` (all zero-cost while no registry is active).
+``build.cache.hit``, ``build.cache.miss``, ``build.cache.bad_entry``,
+``build.cache.store`` and ``build.cache.evict`` (all zero-cost while no
+registry is active).
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import tempfile
 
 from ..obs import events
 
 _SUFFIX = ".uo"
+_HEAD = b'{"sha256":"'
+_MID = b'","object":'
+_PAYLOAD_AT = len(_HEAD) + 64 + len(_MID)
+
+
+def _frame(payload: bytes) -> bytes:
+    digest = hashlib.sha256(payload).hexdigest().encode()
+    return _HEAD + digest + _MID + payload + b"}"
+
+
+def _unframe(entry: bytes) -> bytes | None:
+    """The payload of a well-framed entry whose digest matches, else
+    None."""
+    if not (
+        entry.startswith(_HEAD)
+        and entry.startswith(_MID, _PAYLOAD_AT - len(_MID))
+        and entry.endswith(b"}")
+    ):
+        return None
+    payload = entry[_PAYLOAD_AT:-1]
+    digest = entry[len(_HEAD) : len(_HEAD) + 64]
+    if hashlib.sha256(payload).hexdigest().encode() != digest:
+        return None
+    return payload
 
 
 class ObjectCache:
@@ -46,12 +79,18 @@ class ObjectCache:
     # -- primitives --------------------------------------------------------
 
     def get(self, digest: str) -> bytes | None:
-        """The stored blob for ``digest``, or None on a miss."""
+        """The stored blob for ``digest``, or None on a miss (including
+        an entry that fails its integrity digest)."""
         path = self._path(digest)
         try:
             with open(path, "rb") as handle:
-                data = handle.read()
+                entry = handle.read()
         except OSError:
+            events.counter("build.cache.miss").inc()
+            return None
+        data = _unframe(entry)
+        if data is None:
+            events.counter("build.cache.bad_entry").inc()
             events.counter("build.cache.miss").inc()
             return None
         try:
@@ -68,7 +107,7 @@ class ObjectCache:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
+                handle.write(_frame(data))
             os.replace(tmp, path)
         except OSError:
             try:

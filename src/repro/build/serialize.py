@@ -88,6 +88,9 @@ def _collect_node_classes() -> dict[str, type]:
 
 _NODE_CLASSES = _collect_node_classes()
 
+#: Node class -> its field names, computed on the first encode.
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+
 
 def _enc(value):
     if isinstance(value, Taint):
@@ -99,13 +102,19 @@ def _enc(value):
     if isinstance(value, (list, tuple)):
         return [_enc(item) for item in value]
     cls = type(value)
-    if cls.__name__ in _NODE_CLASSES and dataclasses.is_dataclass(value):
-        fields = {
-            f.name: _enc(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-        }
-        return {"$": cls.__name__, "f": fields}
-    raise SerializeError(f"cannot serialize {cls.__name__}: {value!r}")
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        if cls.__name__ not in _NODE_CLASSES or not dataclasses.is_dataclass(
+            value
+        ):
+            raise SerializeError(
+                f"cannot serialize {cls.__name__}: {value!r}"
+            )
+        names = _FIELD_NAMES[cls] = tuple(
+            f.name for f in dataclasses.fields(cls)
+        )
+    fields = {name: _enc(getattr(value, name)) for name in names}
+    return {"$": cls.__name__, "f": fields}
 
 
 def _dec(value):

@@ -154,8 +154,10 @@ class BuildSession:
                 try:
                     return load_uobject(data)
                 except SerializeError:
-                    # Corrupt or stale-format entry: recompile and
-                    # overwrite rather than failing the build.
+                    # An intact entry this toolchain cannot decode
+                    # (corrupt entries never get here: the cache checks
+                    # their digest): recompile and overwrite rather
+                    # than failing the build.
                     events.counter("build.cache.bad_entry").inc()
         result = self.stage_parse(source, filename)
         result = self.stage_sema(result, config)

@@ -515,14 +515,13 @@ def fuzz_witnesses(
     from ..minic.parser import parse as parse_minic
     from ..minic.sema import analyze
     from ..opt.checkopt import check_checkopt_witness, optimize_checks
-    from ..opt.pipeline import CSE_LOCAL, ITER_PASSES, PROMOTE_SLOTS
-    from ..opt.witness import (
-        Witness,
-        WitnessError,
-        check_witness,
-        function_digest,
-        snapshot_function,
+    from ..opt.pipeline import (
+        CSE_LOCAL,
+        ITER_PASSES,
+        PROMOTE_SLOTS,
+        apply_pass,
     )
+    from ..opt.witness import WitnessError, check_witness
 
     report = FuzzReport(engine="witness", seed=seed)
     config = OUR_MPX
@@ -586,17 +585,11 @@ def fuzz_witnesses(
             for _round in range(8):
                 changed_any = False
                 for pass_obj in passes:
-                    snapshot = snapshot_function(func)
-                    witness = Witness(
-                        pass_obj.name,
-                        func.name,
-                        func.origin,
-                        function_digest(func),
-                    )
-                    if not pass_obj.fn(func, witness=witness):
+                    applied = apply_pass(pass_obj, func)
+                    if applied is None:
                         continue
                     changed_any = True
-                    witness.post_digest = function_digest(func)
+                    snapshot, witness = applied
                     try:
                         check_witness(witness, snapshot, func)
                     except WitnessError as err:

@@ -18,11 +18,18 @@ IR nodes — instructions, :class:`MemRef`, :class:`StackSlot` and
 are tuples).  A pass rewrites a block by replacing nodes, so the
 certified pass manager can snapshot a function by sharing them and
 compare old and new nodes by value.  Blocks and functions stay mutable.
+
+Because a node never changes, what is derived from its fields alone is
+computed once and kept on the node: its :attr:`IRNode.encoding` (the
+text the witness digest hashes) and an instruction's registers
+(:attr:`Instr.use_regs`, :attr:`Instr.vregs`).  ``dataclasses.replace``
+builds a fresh node, so these can never go stale.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 from ..errors import IRError
 from ..minic.types import FuncType
@@ -58,8 +65,73 @@ class VReg:
         return f"%{self.id}{tag}{suffix}"
 
 
+def _encode(value) -> str:
+    """Field-value text of one node field: injective for the types IR
+    fields hold (registers, nodes, ints, strings, taints, None, and
+    tuples of these), and independent of ``hash()`` and object ids."""
+    cls = type(value)
+    if cls is VReg:
+        return f"%{value.id}:{int(value.taint)}:{value.hint!r}"
+    if cls is int or cls is str or value is None or cls is bool:
+        return repr(value)
+    if cls is tuple:
+        return "(" + ",".join(map(_encode, value)) + ")"
+    if cls is Taint:
+        return f"T{int(value)}"
+    return value.encoding
+
+
+class _computed_once:
+    """A node attribute computed on first read and then stored on the
+    node (like ``functools.cached_property``).
+
+    It stores with ``object.__setattr__`` instead of writing the
+    instance ``__dict__``: on CPython 3.11, touching ``__dict__`` gives
+    up the compact attribute layout and makes every later field read of
+    the node several times slower."""
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, node, owner=None):
+        if node is None:
+            return self
+        value = self.func(node)
+        object.__setattr__(node, self.name, value)
+        return value
+
+
+class IRNode:
+    """Base of the frozen IR dataclasses (instructions, MemRef,
+    StackSlot)."""
+
+    @_computed_once
+    def encoding(self) -> str:
+        """``Class(field, ...)`` over every field value, computed once.
+        Equal encodings mean equal fields, whatever ``repr`` omits."""
+        cls = type(self)
+        getter = _FIELD_GETTERS.get(cls)
+        if getter is None:
+            getter = _FIELD_GETTERS[cls] = _field_getter(cls)
+        return f"{cls.__name__}({','.join(map(_encode, getter(self)))})"
+
+
+def _field_getter(cls):
+    """A function returning the tuple of a node's field values."""
+    names = [f.name for f in fields(cls)]
+    if len(names) == 1:
+        (name,) = names
+        return lambda node: (getattr(node, name),)
+    return attrgetter(*names)
+
+
+_FIELD_GETTERS: dict[type, object] = {}
+
+
 @dataclass(frozen=True)
-class StackSlot:
+class StackSlot(IRNode):
     """A named chunk of a function's frame, on the stack of its taint."""
 
     uid: int
@@ -78,11 +150,22 @@ class StackSlot:
 # Instructions
 
 
-class Instr:
+class Instr(IRNode):
     """Base class.  ``uses``/``defs`` drive dataflow and regalloc."""
 
-    def uses(self) -> list[VReg]:
-        return [v for v in self._use_operands() if isinstance(v, VReg)]
+    def uses(self) -> tuple[VReg, ...]:
+        return self.use_regs
+
+    @_computed_once
+    def use_regs(self) -> tuple[VReg, ...]:
+        """The registers the instruction reads."""
+        return tuple(v for v in self._use_operands() if isinstance(v, VReg))
+
+    @_computed_once
+    def vregs(self) -> tuple[VReg, ...]:
+        """Every register the instruction names: its uses, then its
+        defs."""
+        return (*self.use_regs, *self.defs())
 
     def defs(self) -> list[VReg]:
         return []
@@ -156,7 +239,7 @@ class Bin(Instr):
 
 
 @dataclass(frozen=True)
-class MemRef:
+class MemRef(IRNode):
     """An IR memory reference: exactly one of ``base`` (a pointer
     register), ``slot`` (frame-relative) or ``global_name`` is set, plus
     an optional scaled index register and constant displacement.

@@ -1,6 +1,15 @@
-"""Hand-written lexer for MiniC."""
+"""MiniC lexer: one compiled master regex, matched token by token.
+
+Each alternative of :data:`_MASTER` is a named group; the group that
+matched decides the token.  Identifiers follow ``str.isalpha``/
+``str.isalnum`` (plus ``_``), numbers are ASCII digits only, and every
+malformed input raises :class:`~repro.errors.LexError` at the position
+of the offending token.
+"""
 
 from __future__ import annotations
+
+import re
 
 from ..errors import LexError, SourceLocation
 from .tokens import (
@@ -16,11 +25,6 @@ from .tokens import (
     Token,
 )
 
-# ASCII only: str.isdigit() also accepts digits int() cannot parse
-# (e.g. superscripts), and `"" in "0123"` is true at end of input.
-_DIGITS = frozenset("0123456789")
-_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
-
 _ESCAPES = {
     "n": 10,
     "t": 9,
@@ -31,166 +35,124 @@ _ESCAPES = {
     '"': 34,
 }
 
+# A well-formed escape: a named one, or \x with one or two hex digits.
+_ESCAPE = r"""\\(?:[ntr0\\'"]|x[0-9a-fA-F]{1,2})"""
 
-class Lexer:
-    """Converts MiniC source text into a list of tokens."""
+# A literal matches its longest well-formed prefix and an optional
+# closing quote, so the match never backtracks, and when the quote is
+# missing the character after the prefix tells which error it is.
+_MASTER = re.compile(
+    "|".join(
+        (
+            # Whitespace, // and # lines, complete /* */ comments.
+            r"(?P<skip>(?:[ \t\r\n]+|//[^\n]*|#[^\n]*|/\*(?s:.*?)\*/)+)",
+            r"(?P<open_comment>/\*)",
+            r"(?P<hex>0[xX][0-9a-fA-F]*)",
+            r"(?P<int>[0-9]+)",
+            r"(?P<word>[A-Za-z_]\w*)",
+            # Any other word character: an identifier iff isalpha().
+            r"(?P<uword>[^\W\d]\w*)",
+            rf"""(?P<str>"(?P<str_body>(?:[^"\\\n]+|{_ESCAPE})*)"""
+            r"""(?P<str_end>"?))""",
+            rf"""(?P<chr>'(?P<chr_body>[^\\]|{_ESCAPE})?(?P<chr_end>'?))""",
+            "(?P<punct>" + "|".join(map(re.escape, PUNCTUATORS)) + ")",
+        )
+    )
+)
 
-    def __init__(self, source: str, filename: str = "<input>"):
-        self._src = source
-        self._filename = filename
-        self._pos = 0
-        self._line = 1
-        self._col = 1
+_ESCAPE_RE = re.compile(_ESCAPE)
 
-    def _loc(self) -> SourceLocation:
-        return SourceLocation(self._line, self._col, self._filename)
 
-    def _peek(self, offset: int = 0) -> str:
-        index = self._pos + offset
-        if index >= len(self._src):
-            return ""
-        return self._src[index]
+def _unescape(match: re.Match) -> str:
+    text = match.group()
+    if text[1] == "x":
+        return chr(int(text[2:], 16))
+    return chr(_ESCAPES[text[1]])
 
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self._pos >= len(self._src):
-                return
-            if self._src[self._pos] == "\n":
-                self._line += 1
-                self._col = 1
-            else:
-                self._col += 1
-            self._pos += 1
 
-    def _skip_trivia(self) -> None:
-        while True:
-            ch = self._peek()
-            if not ch:
-                return
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self._peek() and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start = self._loc()
-                self._advance(2)
-                while not (self._peek() == "*" and self._peek(1) == "/"):
-                    if not self._peek():
-                        raise LexError("unterminated block comment", start)
-                    self._advance()
-                self._advance(2)
-            elif ch == "#":
-                # Preprocessor-style lines (#define is handled by the
-                # driver's textual substitution; here we just skip them).
-                while self._peek() and self._peek() != "\n":
-                    self._advance()
-            else:
-                return
+def _literal_bytes(body: str, loc: SourceLocation) -> bytes:
+    """Decode a (well-formed) literal body to its byte values."""
+    if "\\" in body:
+        body = _ESCAPE_RE.sub(_unescape, body)
+    try:
+        return body.encode("latin-1")
+    except UnicodeEncodeError as error:
+        ch = body[error.start]
+        raise LexError(
+            f"character {ch!r} does not fit in a byte", loc
+        ) from None
 
-    def _lex_number(self) -> Token:
-        loc = self._loc()
-        start = self._pos
-        if self._peek() == "0" and self._peek(1) in ("x", "X"):
-            self._advance(2)
-            while self._peek() in _HEX_DIGITS:
-                self._advance()
-            text = self._src[start : self._pos]
-            if len(text) == 2:
-                raise LexError(f"hex literal {text!r} has no digits", loc)
-            return Token(TK_INT, text, loc, value=int(text, 16))
-        while self._peek() in _DIGITS:
-            self._advance()
-        text = self._src[start : self._pos]
-        return Token(TK_INT, text, loc, value=int(text))
 
-    def _lex_escape(self, loc: SourceLocation) -> int:
-        self._advance()  # backslash
-        ch = self._peek()
-        if ch == "x":
-            self._advance()
-            digits = ""
-            while self._peek() in _HEX_DIGITS and len(digits) < 2:
-                digits += self._peek()
-                self._advance()
-            if not digits:
-                raise LexError("empty hex escape", loc)
-            return int(digits, 16)
-        if ch not in _ESCAPES:
-            raise LexError(f"unknown escape \\{ch}", loc)
-        self._advance()
-        return _ESCAPES[ch]
-
-    def _lex_char(self) -> Token:
-        loc = self._loc()
-        self._advance()  # opening quote
-        if self._peek() == "\\":
-            value = self._lex_escape(loc)
-        else:
-            if not self._peek():
-                raise LexError("unterminated char literal", loc)
-            value = ord(self._peek())
-            self._advance()
-        if self._peek() != "'":
-            raise LexError("unterminated char literal", loc)
-        self._advance()
-        return Token(TK_CHAR, "", loc, value=value)
-
-    def _lex_string(self) -> Token:
-        loc = self._loc()
-        self._advance()  # opening quote
-        data = bytearray()
-        while True:
-            ch = self._peek()
-            if not ch or ch == "\n":
-                raise LexError("unterminated string literal", loc)
-            if ch == '"':
-                self._advance()
-                break
-            if ch == "\\":
-                data.append(self._lex_escape(loc))
-            else:
-                data.append(ord(ch))
-                self._advance()
-        return Token(TK_STRING, "", loc, value=bytes(data))
-
-    def _lex_word(self) -> Token:
-        loc = self._loc()
-        start = self._pos
-        while self._peek().isalnum() or self._peek() == "_":
-            self._advance()
-        text = self._src[start : self._pos]
-        kind = TK_KEYWORD if text in KEYWORDS else TK_IDENT
-        return Token(kind, text, loc)
-
-    def tokens(self) -> list[Token]:
-        """Lex the whole input, returning tokens terminated by EOF."""
-        result: list[Token] = []
-        while True:
-            self._skip_trivia()
-            ch = self._peek()
-            if not ch:
-                result.append(Token(TK_EOF, "", self._loc()))
-                return result
-            if ch in _DIGITS:
-                result.append(self._lex_number())
-            elif ch == "'":
-                result.append(self._lex_char())
-            elif ch == '"':
-                result.append(self._lex_string())
-            elif ch.isalpha() or ch == "_":
-                result.append(self._lex_word())
-            else:
-                loc = self._loc()
-                for punct in PUNCTUATORS:
-                    if self._src.startswith(punct, self._pos):
-                        self._advance(len(punct))
-                        result.append(Token(TK_PUNCT, punct, loc))
-                        break
-                else:
-                    raise LexError(f"unexpected character {ch!r}", loc)
+def _escape_error(source: str, pos: int, loc) -> LexError:
+    """The error for the malformed escape starting at ``pos``."""
+    ch = source[pos + 1 : pos + 2]
+    if ch == "x":
+        return LexError("empty hex escape", loc)
+    return LexError(f"unknown escape \\{ch}", loc)
 
 
 def tokenize(source: str, filename: str = "<input>") -> list[Token]:
-    """Convenience wrapper: lex ``source`` into a token list."""
-    return Lexer(source, filename).tokens()
+    """Lex ``source`` into a token list terminated by EOF."""
+    match_at = _MASTER.match
+    result: list[Token] = []
+    append = result.append
+    pos = 0
+    line = 1
+    line_start = 0  # index of the first character of the current line
+    end = len(source)
+    while pos < end:
+        m = match_at(source, pos)
+        group = m.lastgroup if m is not None else None
+        if group == "skip":
+            text = m.group()
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = pos + text.rindex("\n") + 1
+            pos = m.end()
+            continue
+        loc = SourceLocation(line, pos - line_start + 1, filename)
+        if group is None:
+            raise LexError(f"unexpected character {source[pos]!r}", loc)
+        text = m.group()
+        if group == "word":
+            kind = TK_KEYWORD if text in KEYWORDS else TK_IDENT
+            append(Token(kind, text, loc))
+        elif group == "punct":
+            append(Token(TK_PUNCT, text, loc))
+        elif group == "int":
+            append(Token(TK_INT, text, loc, value=int(text)))
+        elif group == "hex":
+            if len(text) == 2:
+                raise LexError(f"hex literal {text!r} has no digits", loc)
+            append(Token(TK_INT, text, loc, value=int(text, 16)))
+        elif group == "str":
+            # Errors in source order: the prefix, then what stopped it.
+            value = _literal_bytes(m.group("str_body"), loc)
+            if not m.group("str_end"):
+                if source.startswith("\\", m.end()):
+                    raise _escape_error(source, m.end(), loc)
+                raise LexError("unterminated string literal", loc)
+            append(Token(TK_STRING, "", loc, value=value))
+        elif group == "chr":
+            body = m.group("chr_body")
+            if body is None and source.startswith("\\", m.end()):
+                raise _escape_error(source, m.end(), loc)
+            if body is None or not m.group("chr_end"):
+                raise LexError("unterminated char literal", loc)
+            value = _literal_bytes(body, loc)[0]
+            append(Token(TK_CHAR, "", loc, value=value))
+            if body == "\n":
+                line += 1
+                line_start = m.end() - 1
+        elif group == "uword":
+            if not text[0].isalpha():
+                raise LexError(f"unexpected character {text[0]!r}", loc)
+            kind = TK_KEYWORD if text in KEYWORDS else TK_IDENT
+            append(Token(kind, text, loc))
+        else:  # open_comment: a /* the skip group could not close
+            raise LexError("unterminated block comment", loc)
+        pos = m.end()
+    eof = SourceLocation(line, pos - line_start + 1, filename)
+    append(Token(TK_EOF, "", eof))
+    return result

@@ -12,6 +12,7 @@ from .pipeline import (
     ITER_PASSES,
     MAX_ITERATIONS,
     Pass,
+    apply_pass,
     optimize_module,
     run_certified_pass,
 )
@@ -35,6 +36,7 @@ __all__ = [
     "Pass",
     "ITER_PASSES",
     "MAX_ITERATIONS",
+    "apply_pass",
     "run_certified_pass",
     "Witness",
     "WitnessError",

@@ -160,6 +160,9 @@ def copyprop_and_fold(func: IRFunction, witness=None) -> bool:
     changed = False
     for block in func.blocks:
         env: dict[int, object] = {}  # vreg id -> replacement Operand
+        # vreg id -> env keys that were mapped to that register (a key
+        # may since have been remapped; checked before deleting).
+        copies_of: dict[int, list[int]] = {}
         new_instrs = []
 
         def note(i, old, new, block=block):
@@ -174,7 +177,8 @@ def copyprop_and_fold(func: IRFunction, witness=None) -> bool:
             # Kill mappings for anything this instruction redefines.
             for d in instr.defs():
                 env.pop(d.id, None)
-                for key, val in list(env.items()):
+                for key in copies_of.pop(d.id, ()):
+                    val = env.get(key)
                     if isinstance(val, VReg) and val.id == d.id:
                         del env[key]
             if isinstance(instr, Const):
@@ -184,6 +188,9 @@ def copyprop_and_fold(func: IRFunction, witness=None) -> bool:
                     env[instr.dst.id] = instr.src
                 elif instr.src.taint == instr.dst.taint:
                     env[instr.dst.id] = instr.src
+                    copies_of.setdefault(instr.src.id, []).append(
+                        instr.dst.id
+                    )
             elif isinstance(instr, Bin):
                 if isinstance(instr.a, int) and isinstance(instr.b, int):
                     try:
@@ -231,6 +238,18 @@ def _rewrite_mem(mem: MemRef, env) -> MemRef:
 
 
 def _rewrite_uses(instr, env):
+    """``instr`` with its uses substituted from ``env`` and constant
+    conditions and indices folded.  An instruction this leaves as it is
+    comes back as the same node, which the certified pass manager's
+    snapshot and checker share instead of re-encoding."""
+    if not any(v.id in env for v in instr.use_regs):
+        # Without a substitution only a constant condition or index folds.
+        cond = getattr(instr, "cond", None)
+        mem = getattr(instr, "mem", None)
+        if not isinstance(cond, int) and (
+            mem is None or not isinstance(mem.index, int)
+        ):
+            return instr
     if isinstance(instr, Copy):
         return Copy(instr.dst, _subst(instr.src, env))
     if isinstance(instr, Un):
@@ -294,11 +313,12 @@ def dce(func: IRFunction, witness=None) -> bool:
     # surviving instruction's original position across rounds.
     orig = {b.name: list(range(len(b.instrs))) for b in func.blocks}
     while True:
-        used: set[int] = set()
-        for block in func.blocks:
-            for instr in block.instrs:
-                for use in instr.uses():
-                    used.add(use.id)
+        used = {
+            use.id
+            for block in func.blocks
+            for instr in block.instrs
+            for use in instr.use_regs
+        }
         removed = False
         for block in func.blocks:
             kept = []

@@ -15,7 +15,9 @@ IR.  A pass whose witness fails validation is reverted on the spot
 (the function is restored from a pre-pass snapshot) and the pipeline
 continues without it, bumping the ``opt.witness_rejected`` counter.
 IR nodes are immutable, so the snapshot shares them with the function
-and only copies its block, slot and parameter lists.
+and only copies its block, slot and parameter lists.  A pass run that
+changes nothing costs only that snapshot: the witness digests are
+stamped (see :func:`apply_pass`) and checked only for a change.
 
 The per-function fixpoint loop is explicitly bounded: at most
 :data:`MAX_ITERATIONS` rounds, recorded in the ``opt.fixpoint_iters``
@@ -72,6 +74,26 @@ def _n_instrs(func: IRFunction) -> int:
     return sum(len(block.instrs) for block in func.blocks)
 
 
+def apply_pass(
+    pass_obj: Pass, func: IRFunction
+) -> tuple[IRFunction, Witness] | None:
+    """Run one pass on ``func`` in place, recording its witness.
+
+    Returns ``None`` if the pass changed nothing.  Otherwise returns the
+    pre-pass snapshot and the witness with both digests stamped: the
+    pre digest from the snapshot (which shares the pre-pass nodes), the
+    post digest from ``func``.  The build (:func:`run_certified_pass`)
+    and the witness fuzz both certify exactly what this returns.
+    """
+    snapshot = snapshot_function(func)
+    witness = Witness(pass_obj.name, func.name, func.origin)
+    if not pass_obj.fn(func, witness=witness):
+        return None
+    witness.pre_digest = function_digest(snapshot)
+    witness.post_digest = function_digest(func)
+    return snapshot, witness
+
+
 def run_certified_pass(
     pass_obj: Pass, func: IRFunction
 ) -> tuple[bool, Witness | None]:
@@ -81,14 +103,10 @@ def run_certified_pass(
     is reverted to its pre-pass state and ``(False, None)`` is returned
     (the build continues un-optimized rather than mis-optimized).
     """
-    snapshot = snapshot_function(func)
-    witness = Witness(
-        pass_obj.name, func.name, func.origin, function_digest(func)
-    )
-    changed = pass_obj.fn(func, witness=witness)
-    if not changed:
+    applied = apply_pass(pass_obj, func)
+    if applied is None:
         return False, None
-    witness.post_digest = function_digest(func)
+    snapshot, witness = applied
     try:
         check_witness(witness, snapshot, func)
     except WitnessError:

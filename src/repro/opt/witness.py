@@ -3,11 +3,14 @@
 Every IR pass in :mod:`repro.opt.pipeline` returns a structured
 :class:`Witness` alongside its rewrite: a list of per-rewrite
 :class:`Obligation` records (taint-preservation and layout-preservation
-claims) bracketed by digests of the pre/post IR.  :func:`check_witness`
-is the independent checker: it recomputes everything a claim asserts
-from the pre/post IR itself — it never trusts the pass — and raises
-:class:`WitnessError` on any discrepancy, at which point the pipeline
-reverts the pass (see ``run_certified_pass``).
+claims) bracketed by digests of the pre/post IR.  A digest hashes the
+nodes' cached field encodings (:attr:`repro.ir.core.IRNode.encoding`),
+so it costs one pass over the function's node list, not a re-rendering
+of every node.  :func:`check_witness` is the independent checker: it
+recomputes everything a claim asserts from the pre/post IR itself — it
+never trusts the pass — and raises :class:`WitnessError` on any
+discrepancy, at which point the pipeline reverts the pass (see
+``run_certified_pass``).
 
 The obligations are *complete* by construction of the checker, not by
 trust in the pass:
@@ -87,7 +90,7 @@ class Witness:
     pass_name: str
     function: str
     origin: str
-    pre_digest: str
+    pre_digest: str = ""
     post_digest: str = ""
     obligations: list[Obligation] = field(default_factory=list)
 
@@ -99,12 +102,16 @@ class Witness:
 # IR snapshot / digest / restore — the revert machinery.
 
 def function_digest(func: IRFunction) -> str:
-    """Canonical content digest of a function body (slots + blocks)."""
+    """Canonical content digest of a function body (slots + blocks).
+
+    Built from every field of every node, so any change a pass makes to
+    a slot or an instruction changes it; stable across processes (no
+    ``hash()`` or object ids go in)."""
     parts = [func.name, func.origin]
-    parts.extend(repr(s) + f"/{s.size}/{s.align}" for s in func.slots)
+    parts.extend(s.encoding for s in func.slots)
     for block in func.blocks:
         parts.append(block.name)
-        parts.extend(repr(i) for i in block.instrs)
+        parts.extend(i.encoding for i in block.instrs)
     return hashlib.sha256("\n".join(parts).encode()).hexdigest()
 
 
@@ -141,11 +148,12 @@ def _block_bodies(func: IRFunction) -> dict[str, list]:
 
 
 def _vreg_taints(func: IRFunction) -> dict[int, object]:
-    taints: dict[int, object] = {}
-    for block in func.blocks:
-        for instr in block.instrs:
-            for v in (*instr.uses(), *instr.defs()):
-                taints[v.id] = v.taint
+    taints = {
+        v.id: v.taint
+        for block in func.blocks
+        for instr in block.instrs
+        for v in instr.vregs
+    }
     for v in func.param_vregs:
         taints[v.id] = v.taint
     return taints
@@ -310,6 +318,8 @@ def _require_positionwise(
                 f"{post.name}: block {block.name} length changed "
                 "under a positionwise pass"
             )
+        if block.instrs[off:] == old.instrs:
+            continue  # list equality short-circuits on shared nodes
         for i, pre_instr in enumerate(old.instrs):
             if block.instrs[i + off] != pre_instr:
                 if f"{block.name}@{i}" not in sites:
@@ -449,11 +459,10 @@ def _same_computation(a, b) -> bool:
 
 
 def _check_dce(witness, pre, post):
-    post_used: set[int] = set()
-    for block in post.blocks:
-        for instr in block.instrs:
-            for u in instr.uses():
-                post_used.add(u.id)
+    post_used = {
+        u.id for block in post.blocks for instr in block.instrs
+        for u in instr.use_regs
+    }
     sites: dict[tuple[str, int], Obligation] = {}
     for ob in witness.obligations:
         block_name, index = _parse_index(ob.site, post.name)
@@ -643,8 +652,34 @@ def _contains_run(haystack: list, needle: list) -> bool:
     )
 
 
+def _unpromotable_slots(pre: IRFunction, pre_slots: dict) -> dict[int, str]:
+    """Slot uid -> why the slot cannot be promoted, from its first pre-IR
+    reference (in program order) that is not a whole-slot direct
+    Load/Store.  One walk answers for every slot."""
+    reasons: dict[int, str] = {}
+    for block in pre.blocks:
+        for instr in block.instrs:
+            if not isinstance(instr, (Lea, Load, Store)):
+                continue
+            mem = instr.mem
+            if mem.slot is None or mem.slot.uid in reasons:
+                continue
+            uid = mem.slot.uid
+            if isinstance(instr, Lea):
+                reasons[uid] = "address taken via lea"
+            elif (
+                mem.index is not None
+                or mem.disp != 0
+                or uid not in pre_slots
+                or instr.size != pre_slots[uid].size
+            ):
+                reasons[uid] = "has a partial access; not promotable"
+    return reasons
+
+
 def _check_promote_slots(witness, pre, post):
     pre_slots = {s.uid: s for s in pre.slots}
+    unpromotable = _unpromotable_slots(pre, pre_slots)
     promoted: dict[int, tuple[int, object]] = {}  # uid -> (vreg id, taint)
     inits: list[int] = []
     for ob in witness.obligations:
@@ -666,30 +701,10 @@ def _check_promote_slots(witness, pre, post):
                 )
             # Re-derive promotability: every pre reference must be a
             # whole-slot direct Load/Store.
-            for block in pre.blocks:
-                for instr in block.instrs:
-                    mem = getattr(instr, "mem", None)
-                    if isinstance(instr, Lea) and instr.mem.slot is not None \
-                            and instr.mem.slot.uid == uid:
-                        raise WitnessError(
-                            f"{post.name}: slot {uid} address taken via "
-                            "lea"
-                        )
-                    if (
-                        isinstance(instr, (Load, Store))
-                        and mem is not None
-                        and mem.slot is not None
-                        and mem.slot.uid == uid
-                    ):
-                        if (
-                            mem.index is not None
-                            or mem.disp != 0
-                            or instr.size != slot.size
-                        ):
-                            raise WitnessError(
-                                f"{post.name}: slot {uid} has a partial "
-                                "access; not promotable"
-                            )
+            if uid in unpromotable:
+                raise WitnessError(
+                    f"{post.name}: slot {uid} {unpromotable[uid]}"
+                )
             promoted[uid] = (vreg_id, slot.taint)
         elif ob.site.endswith("@init"):
             inits = list(ob.claim[1])

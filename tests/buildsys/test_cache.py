@@ -6,15 +6,18 @@ and corrupt-entry recovery.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pathlib
 
 from repro import OUR_MPX, OUR_SEG
+from repro.apps.spec import kernel_source
 from repro.build import (
     BuildRequest,
     BuildSession,
     ObjectCache,
     dump_binary,
+    load_uobject,
     object_cache_key,
 )
 from repro.config import ALL_CONFIGS
@@ -201,3 +204,39 @@ class TestCorruptEntryRecovery:
         assert dump_binary(again) == dump_binary(good)
         assert registry.metrics_snapshot()["build.cache.bad_entry"] == 1
         assert path.read_bytes() == data
+
+    def test_changed_operand_digit_fails_the_integrity_digest(self, tmp_path):
+        """One changed digit in an instruction operand still decodes as
+        a valid object; the entry's sha256 is what catches it."""
+        source = kernel_source("mcf")
+        cache = ObjectCache(tmp_path)
+        session = BuildSession(cache=cache)
+        good = session.build(source, OUR_MPX, seed=2)
+        digest, _, _ = cache.entries()[0]
+        path = pathlib.Path(cache.path_for(digest))
+        entry = path.read_bytes()
+        imm = b'{"$":"Imm","f":{"value":0}}'
+        assert imm in entry
+        corrupted = entry.replace(imm, imm.replace(b"0", b"1"), 1)
+        payload = corrupted[corrupted.index(b'"object":') + 9 : -1]
+        assert load_uobject(payload).functions  # still decodes
+        path.write_bytes(corrupted)
+
+        registry = events.Registry()
+        with events.use(registry):
+            again = session.build(source, OUR_MPX, seed=2)
+        snap = registry.metrics_snapshot()
+        assert snap["build.cache.bad_entry"] == 1
+        assert "build.cache.hit" not in snap
+        assert dump_binary(again) == dump_binary(good)
+        assert path.read_bytes() == entry
+
+    def test_entry_is_the_payload_and_its_digest(self, tmp_path):
+        cache = ObjectCache(tmp_path)
+        cache.put("ab" * 32, b'{"x":1}')
+        entry = pathlib.Path(cache.path_for("ab" * 32)).read_bytes()
+        assert json.loads(entry) == {
+            "sha256": hashlib.sha256(b'{"x":1}').hexdigest(),
+            "object": {"x": 1},
+        }
+        assert cache.get("ab" * 32) == b'{"x":1}'

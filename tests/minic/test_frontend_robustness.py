@@ -41,6 +41,8 @@ class TestGracefulFailure:
     @example("int x = 0X;")
     @example("²")
     @example("'\\x")
+    @example('"—"')
+    @example("'—'")
     @example("int f() { return " + "(" * 64 + "1" + ")" * 64 + "; }")
     @example("int f() { return " + "(" * 200 + "1" + ")" * 200 + "; }")
     @example("void f() { " + "{ " * 1000 + "int x;" + " }" * 1000 + " }")

@@ -1,20 +1,25 @@
 """Certified pass framework tests: witness emission, validation,
 rejection-and-revert, and the bounded fixpoint loop."""
 
+import os
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
+import repro
 from repro.frontend import lower_program
-from repro.ir import Call, Const, Load, verify_module
+from repro.ir import Call, Const, Load, MemRef, VReg, verify_module
+from repro.ir.core import Lea
 from repro.minic import analyze, parse
 from repro.obs import events
 from repro.opt import (
     MAX_ITERATIONS,
     Obligation,
     Pass,
-    Witness,
     WitnessError,
+    apply_pass,
     check_witness,
     function_digest,
     optimize_module,
@@ -53,14 +58,11 @@ def blocks_repr(func):
 
 
 def emit_witness(pass_obj, func):
-    """Run one pass by hand, returning (snapshot, accepted witness)."""
-    snapshot = snapshot_function(func)
-    witness = Witness(
-        pass_obj.name, func.name, func.origin, function_digest(func)
-    )
-    changed = pass_obj.fn(func, witness=witness)
-    assert changed, f"{pass_obj.name} made no change on the test input"
-    witness.post_digest = function_digest(func)
+    """Run one pass the way the build does, returning (snapshot,
+    accepted witness)."""
+    applied = apply_pass(pass_obj, func)
+    assert applied, f"{pass_obj.name} made no change on the test input"
+    snapshot, witness = applied
     check_witness(witness, snapshot, func)
     return snapshot, witness
 
@@ -157,6 +159,42 @@ class TestRejection:
                 break
         assert flipped
         with pytest.raises(WitnessError):
+            check_witness(witness, snapshot, f)
+
+    @pytest.mark.parametrize(
+        "refs, reason",
+        [
+            (("lea",), "address taken via lea"),
+            (("disp",), "has a partial access; not promotable"),
+            (("size",), "has a partial access; not promotable"),
+            # The first offending reference in program order decides.
+            (("disp", "lea"), "has a partial access; not promotable"),
+            (("lea", "disp"), "address taken via lea"),
+        ],
+    )
+    def test_promotability_is_rederived_from_the_pre_ir(self, refs, reason):
+        """A promoted slot whose pre-IR references are not all whole-slot
+        direct loads and stores is rejected, whatever the pass claims."""
+        f = ir_of().functions["f"]
+        snapshot, witness = emit_witness(PROMOTE_SLOTS, f)
+        uid = next(
+            int(ob.site[len("slot:"):])
+            for ob in witness.obligations
+            if ob.site.startswith("slot:")
+        )
+        slot = next(s for s in snapshot.slots if s.uid == uid)
+        mem = MemRef(slot.taint, slot=slot)
+        bad = {
+            "lea": lambda: Lea(snapshot.new_vreg(Taint.PUBLIC), mem),
+            "disp": lambda: Load(
+                snapshot.new_vreg(slot.taint), replace(mem, disp=4),
+                slot.size,
+            ),
+            "size": lambda: Load(snapshot.new_vreg(slot.taint), mem, 1),
+        }
+        snapshot.blocks[0].instrs[0:0] = [bad[ref]() for ref in refs]
+        witness.pre_digest = function_digest(snapshot)
+        with pytest.raises(WitnessError, match=f"slot {uid} {reason}$"):
             check_witness(witness, snapshot, f)
 
 
@@ -263,24 +301,117 @@ class TestRevert:
         self.assert_reverted(rescale, ir_of().functions["f"])
 
 
+def _changed_values(value):
+    """Values of the same kind as ``value`` that differ from it in one
+    field (for a register or a nested node: each of its fields)."""
+    if isinstance(value, VReg):
+        return [
+            replace(value, id=value.id + 1000),
+            replace(value, taint=Taint(1 - int(value.taint))),
+            replace(value, hint=value.hint + "x"),
+        ]
+    if isinstance(value, Taint):
+        return [Taint(1 - int(value))]
+    if isinstance(value, bool):
+        return [not value]
+    if isinstance(value, int):
+        return [value + 1]
+    if isinstance(value, str):
+        return [value + "x"]
+    if value is None:
+        return [0]
+    if isinstance(value, tuple):
+        if not value:
+            return [(0,)]
+        return [(v, *value[1:]) for v in _changed_values(value[0])]
+    out = []
+    for fld in fields(value):
+        for new in _changed_values(getattr(value, fld.name)):
+            try:
+                out.append(replace(value, **{fld.name: new}))
+            except AssertionError:
+                continue  # e.g. a MemRef needs exactly one anchor
+    return out
+
+
+class TestFunctionDigest:
+    def test_snapshot_digest_equals_function_digest(self):
+        for func in ir_of(ALL_NODES).functions.values():
+            assert function_digest(snapshot_function(func)) == (
+                function_digest(func)
+            )
+
+    def test_every_single_field_change_changes_the_digest(self):
+        checked = 0
+        for func in ir_of(ALL_NODES).functions.values():
+            base = function_digest(func)
+            for s, slot in enumerate(func.slots):
+                for new_slot in _changed_values(slot):
+                    copy = snapshot_function(func)
+                    copy.slots[s] = new_slot
+                    assert function_digest(copy) != base, new_slot
+                    checked += 1
+            for b, block in enumerate(func.blocks):
+                for i, instr in enumerate(block.instrs):
+                    for new_instr in _changed_values(instr):
+                        assert new_instr != instr
+                        copy = snapshot_function(func)
+                        copy.blocks[b].instrs[i] = new_instr
+                        assert function_digest(copy) != base, new_instr
+                        checked += 1
+            assert function_digest(func) == base
+        assert checked > 100
+
+    def test_digest_does_not_depend_on_the_hash_seed(self):
+        code = (
+            "from repro.frontend import lower_program\n"
+            "from repro.minic import analyze, parse\n"
+            "from repro.opt import function_digest, optimize_module\n"
+            f"module = lower_program(analyze(parse({ALL_NODES!r})))\n"
+            "optimize_module(module)\n"
+            "for func in module.functions.values():\n"
+            "    print(func.name, function_digest(func))\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        outputs = set()
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-c", code],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1
+        assert "main" in outputs.pop()
+
+    def test_pre_digest_is_stamped_from_the_pre_pass_function(self):
+        f = ir_of().functions["f"]
+        before = function_digest(f)
+        snapshot, witness = apply_pass(PROMOTE_SLOTS, f)
+        assert witness.pre_digest == before == function_digest(snapshot)
+        assert witness.post_digest == function_digest(f) != before
+
+
+# Lowers to every kind of node: slots, registers, memory references,
+# direct and indirect calls, switches and stores.
+ALL_NODES = T_PROTOTYPES + """
+int g[4];
+int id(int x) { return x; }
+int main() {
+    int a[4];
+    int (*p)(int);
+    p = id;
+    int i = 0;
+    switch (g[1]) { case 1: i = 2; break; default: i = 3; }
+    a[i] = p(i);
+    return declassify_int((private int)a[i]);
+}
+"""
+
+
 class TestFrozenIR:
     def test_no_ir_node_field_is_assignable(self):
-        module = ir_of(
-            T_PROTOTYPES
-            + """
-            int g[4];
-            int id(int x) { return x; }
-            int main() {
-                int a[4];
-                int (*p)(int);
-                p = id;
-                int i = 0;
-                switch (g[1]) { case 1: i = 2; break; default: i = 3; }
-                a[i] = p(i);
-                return declassify_int((private int)a[i]);
-            }
-            """
-        )
+        module = ir_of(ALL_NODES)
         nodes = []
         for func in module.functions.values():
             nodes.extend(func.slots)
