@@ -19,7 +19,6 @@ Wire protocol (channel 0): 3 KB encrypted image -> 8-byte class id.
 from __future__ import annotations
 
 from ..runtime.trusted import T_PROTOTYPES
-from .libmini import LIBMINI
 
 IMAGE_BYTES = 3072  # "small (3 KB) files" in the paper
 N_INPUT = 48  # 48 fixed-point features decoded from the image
@@ -29,7 +28,7 @@ N_CLASSES = 10
 
 CLASSIFIER_SRC = (
     T_PROTOTYPES
-    + LIBMINI
+    + "use libmini;"
     + r"""
 // ------------------------------------------------------------ classifier
 // 16.16 fixed point. All model state is private (enclave contents).

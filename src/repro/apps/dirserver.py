@@ -25,7 +25,6 @@ from __future__ import annotations
 import struct
 
 from ..runtime.trusted import T_PROTOTYPES
-from .libmini import LIBMINI
 
 N_ENTRIES = 10_000
 REQ_SIZE = 48
@@ -33,7 +32,7 @@ RESP_SIZE = 16
 
 DIRSERVER_SRC = (
     T_PROTOTYPES
-    + LIBMINI
+    + "use libmini;"
     + r"""
 // ------------------------------------------------------------ dirserver
 int ids[10000];

@@ -6,7 +6,10 @@ the instrumentation, not by trusting them.  Because the type system has
 no label polymorphism (Section 8), byte-copy routines come in public
 and private flavours.
 
-``LIBMINI`` is concatenated into application sources.
+``LIBMINI`` is the source of the ``libmini`` library unit
+(:mod:`repro.build.library`): an application says ``use libmini;``, is
+compiled against the library's prototypes, and is linked after the
+library, which a build session compiles once per configuration.
 """
 
 LIBMINI = r"""

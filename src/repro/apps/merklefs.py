@@ -19,7 +19,6 @@ tractable; the per-thread work is what matters for scaling.
 from __future__ import annotations
 
 from ..runtime.trusted import T_PROTOTYPES
-from .libmini import LIBMINI
 
 FILE_BYTES = 64 * 1024
 BLOCK = 1024
@@ -27,7 +26,7 @@ N_BLOCKS = FILE_BYTES // BLOCK
 
 MERKLEFS_SRC = (
     T_PROTOTYPES
-    + LIBMINI
+    + "use libmini;"
     + r"""
 // ------------------------------------------------------------- merklefs
 // Public hash tree (leaves + one root level folded for simplicity),

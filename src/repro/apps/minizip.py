@@ -16,13 +16,12 @@ Responses (channel 1): 8-byte status per request (output size or <0).
 from __future__ import annotations
 
 from ..runtime.trusted import T_PROTOTYPES
-from .libmini import LIBMINI
 
 REQ_SIZE = 16
 
 MINIZIP_SRC = (
     T_PROTOTYPES
-    + LIBMINI
+    + "use libmini;"
     + r"""
 // -------------------------------------------------------------- minizip
 char req[16];

@@ -28,9 +28,8 @@ public, so the measured overhead is pure instrumentation cost.
 from __future__ import annotations
 
 from ..runtime.trusted import T_PROTOTYPES
-from .libmini import LIBMINI
 
-_COMMON = T_PROTOTYPES + LIBMINI
+_COMMON = T_PROTOTYPES + "use libmini;"
 
 _KERNELS: dict[str, str] = {}
 
@@ -502,6 +501,7 @@ SPEC_NAMES = tuple(sorted(_KERNELS))
 
 
 def kernel_source(name: str, scale: int = 1) -> str:
-    """Full MiniC source of a SPEC kernel at a given workload scale."""
+    """Full MiniC source of a SPEC kernel at a given workload scale
+    (it says ``use libmini;``, so build it through ``repro.build``)."""
     body = _KERNELS[name].replace("SCALE", str(scale))
     return _COMMON + body

@@ -19,7 +19,6 @@ the benchmarks drives a closed loop of clients over channel 0.
 from __future__ import annotations
 
 from ..runtime.trusted import T_PROTOTYPES
-from .libmini import LIBMINI
 
 # Maximum servable file (40 KB, the largest point in Figure 6).
 MAX_FILE = 40 * 1024
@@ -28,7 +27,7 @@ HDR_SIZE = 16
 
 WEBSERVER_SRC = (
     T_PROTOTYPES
-    + LIBMINI
+    + "use libmini;"
     + r"""
 // ------------------------------------------------------------- webserver
 char log_line[256];        // the logging module's buffers are PUBLIC

@@ -31,7 +31,6 @@ from ..compiler import compile_and_load
 from ..config import BuildConfig
 from ..errors import MachineFault
 from ..runtime.trusted import T_PROTOTYPES, TrustedRuntime
-from ..apps.libmini import LIBMINI
 
 SECRET_FILE = b"TOPSECRET-data-0123456789abcdef!" * 8  # 256 bytes
 SECRET_MARKER = b"TOPSECRET"
@@ -79,7 +78,7 @@ class AttackOutcome:
 
 MONGOOSE_SRC = (
     T_PROTOTYPES
-    + LIBMINI
+    + "use libmini;"
     + r"""
 char req[32];
 int g_served = 0;
@@ -166,7 +165,7 @@ def run_mongoose_attack(config: BuildConfig, overread: int = 400) -> AttackOutco
 
 MINIZIP_DIRECT_SRC = (
     T_PROTOTYPES
-    + LIBMINI
+    + "use libmini;"
     + r"""
 void do_compress(char *name, private char *password) {
     // BUG: logs the cleartext password.
@@ -183,7 +182,7 @@ int main() {
 
 MINIZIP_CASTED_SRC = (
     T_PROTOTYPES
-    + LIBMINI
+    + "use libmini;"
     + r"""
 void do_compress(char *name, private char *password) {
     // The same bug laundered through casts: statically invisible.
@@ -228,7 +227,7 @@ def run_minizip_attack(config: BuildConfig) -> AttackOutcome:
 
 FORMAT_STRING_SRC = (
     T_PROTOTYPES
-    + LIBMINI
+    + "use libmini;"
     + r"""
 char fmt[64];
 char msg[256];
@@ -285,7 +284,7 @@ def run_format_string_attack(config: BuildConfig) -> AttackOutcome:
 
 ROP_SRC = (
     T_PROTOTYPES
-    + LIBMINI
+    + "use libmini;"
     + r"""
 // A privileged routine the attacker wants to reach without
 // authorization: it declassifies and transmits the secret.

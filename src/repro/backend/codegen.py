@@ -21,7 +21,7 @@ This stage implements the run-time half of the paper's scheme:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..config import BuildConfig
 from ..errors import CodegenError
@@ -139,8 +139,10 @@ class FunctionCodegen:
         private: bool,
         index: int | None = None,
         scale: int = 1,
+        region: str | None = None,
     ) -> Mem:
-        """An rsp-relative operand, adjusted for the stack-split scheme."""
+        """An rsp-relative operand, adjusted for the stack-split scheme.
+        ``region`` overrides the tag the slot's stack implies."""
         seg = None
         use32 = False
         if private and self._config.split_stacks:
@@ -159,7 +161,7 @@ class FunctionCodegen:
             disp=disp,
             seg=seg,
             use32=use32,
-            region="priv" if private else "pub",
+            region=region or ("priv" if private else "pub"),
         )
 
     def _read(self, operand, scratch: int) -> "int | Imm":
@@ -198,14 +200,13 @@ class FunctionCodegen:
             index_reg = None
             if mref.index is not None:
                 index_reg = self._as_reg(mref.index, scratch_pool)
-            mem = self._stack_mem(
+            return self._stack_mem(
                 off + mref.disp,
                 private=is_priv,
                 index=index_reg,
                 scale=mref.scale,
+                region=region,
             )
-            mem.region = region
-            return mem
         if mref.global_name is not None:
             if mref.index is None:
                 # Statically-placed operand: always in-region, no index
@@ -233,8 +234,7 @@ class FunctionCodegen:
                 disp=mref.disp,
                 region=region,
             )
-            self._apply_seg(mem)
-            return mem
+            return self._apply_seg(mem)
         base = self._as_reg(mref.base, scratch_pool)
         index_reg = None
         if mref.index is not None:
@@ -246,8 +246,7 @@ class FunctionCodegen:
             disp=mref.disp,
             region=region,
         )
-        self._apply_seg(mem)
-        return mem
+        return self._apply_seg(mem)
 
     def _as_reg(self, operand, scratch_pool: list[int]) -> int:
         if isinstance(operand, int):
@@ -262,12 +261,13 @@ class FunctionCodegen:
             scratch_pool.pop()
         return value
 
-    def _apply_seg(self, mem: Mem) -> None:
+    def _apply_seg(self, mem: Mem) -> Mem:
         # Absolute/global operands hold full, statically-placed VAs;
         # only register-anchored operands need the fs/gs confinement.
         if self._config.scheme == "seg" and mem.base is not None:
-            mem.seg = isa.SEG_GS if mem.region == "priv" else isa.SEG_FS
-            mem.use32 = True
+            seg = isa.SEG_GS if mem.region == "priv" else isa.SEG_FS
+            return replace(mem, seg=seg, use32=True)
+        return mem
 
     # ------------------------------------------------------------------
     # MPX checks
@@ -454,10 +454,11 @@ class FunctionCodegen:
                 )
                 self._emit(isa.Lea(regs.R10, lea_mem))
                 self._invalidate_checks(regs.R10)
-                mem = Mem(
-                    base=regs.R10, seg=None, region=mem.region,
+                # After the Lea produced a full VA, re-apply the segment
+                # prefix so the access is still confined to its region.
+                mem = self._apply_seg(
+                    Mem(base=regs.R10, seg=None, region=mem.region)
                 )
-                self._apply_seg_after_lea(mem)
                 pool = [regs.R11]
             src = self._read(instr.src, pool[-1])
             self._maybe_check(mem)
@@ -560,11 +561,6 @@ class FunctionCodegen:
             )
         self._emit(isa.Jmp(default_label))
 
-    def _apply_seg_after_lea(self, mem: Mem) -> None:
-        # After a Lea produced a full VA, re-apply the segment prefix so
-        # the access is still confined to its region.
-        self._apply_seg(mem)
-
     def _lower_call(self, instr) -> None:
         cfg = self._config
         n_fixed = instr.n_fixed
@@ -603,9 +599,7 @@ class FunctionCodegen:
             target_label = instr.name
             if instr.name in self._module.externs:
                 target_label = f"stub.{instr.name}"
-            call = isa.CallD(target_label)
-            call.site_bits = site_bits
-            self._emit(call)
+            self._emit(isa.CallD(target_label, site_bits=site_bits))
         else:
             target = self._read(instr.target, regs.R11)
             if isinstance(target, Imm):  # pragma: no cover
@@ -692,7 +686,7 @@ def compile_function(
 
     with events.span("codegen.function", function=func.name):
         gen = FunctionCodegen(func, module, config)
-        insns = gen.run()
+        insns = tuple(gen.run())
     arg_taints = [p.taint for p in func.sig.params]
     ret_taint = (
         PUBLIC if isinstance(func.sig.ret, VoidType) else func.sig.ret.taint
@@ -728,4 +722,5 @@ def compile_module(module: ir.IRModule, config: BuildConfig):
         imports=imports,
         config=config,
         externals=externals,
+        libraries=list(module.libraries),
     )

@@ -23,6 +23,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from ..arith import MASK64, wrap
+from ..ir.core import _computed_once
 from . import regs
 
 COND_OPS = frozenset({"eq", "ne", "lt", "le", "gt", "ge"})
@@ -36,7 +37,7 @@ MAGIC_PREFIX_BITS = 59
 MAGIC_TAINT_BITS = 5
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Mem:
     """A memory operand.
 
@@ -75,19 +76,27 @@ class Mem:
 
 
 class Insn:
-    """Base class for instructions (one code word each)."""
+    """Base class for instructions (one code word each).
+
+    Words are frozen: the linker builds patched copies with
+    ``dataclasses.replace``, so one compiled unit can be linked any
+    number of times, and a word's encoding is computed once."""
 
     __slots__ = ()
     cost_class = "alu"
 
-    def encoding(self) -> int:
-        """Deterministic 64-bit encoding of this word, used for the
-        magic-uniqueness scan and for reads of code memory."""
+    @_computed_once
+    def _encoding(self) -> int:
         digest = hashlib.blake2b(repr(self).encode(), digest_size=8).digest()
         return int.from_bytes(digest, "little") & MASK64
 
+    def encoding(self) -> int:
+        """Deterministic 64-bit encoding of this word, used for the
+        magic-uniqueness scan and for reads of code memory."""
+        return self._encoding
 
-@dataclass(repr=False)
+
+@dataclass(frozen=True, repr=False)
 class Label(Insn):
     """Pseudo-instruction: marks an address; occupies no code word."""
 
@@ -97,14 +106,13 @@ class Label(Insn):
         return f"{self.name}:"
 
 
-@dataclass(repr=False)
+@dataclass(frozen=True, repr=False)
 class MagicWord(Insn):
     """A 64-bit magic-sequence word (data; executes as a no-op).
 
     ``kind`` is 'call' (procedure entry: 4 argument taint bits + return
     taint bit) or 'ret' (return site: return taint bit + 4 zero bits).
-    ``value`` is patched by the linker once the 59-bit prefixes are
-    chosen.
+    The linker fills in ``value`` once the 59-bit prefixes are chosen.
     """
 
     kind: str
@@ -119,7 +127,7 @@ class MagicWord(Insn):
         return f"magic.{self.kind} bits={self.taint_bits:05b} ({self.value:#x})"
 
 
-@dataclass(repr=False)
+@dataclass(frozen=True, repr=False)
 class MovRI(Insn):
     dst: int
     imm: int
@@ -128,7 +136,7 @@ class MovRI(Insn):
         return f"mov {regs.name(self.dst)}, {self.imm:#x}"
 
 
-@dataclass(repr=False)
+@dataclass(frozen=True, repr=False)
 class MovRR(Insn):
     dst: int
     src: int
@@ -137,7 +145,7 @@ class MovRR(Insn):
         return f"mov {regs.name(self.dst)}, {regs.name(self.src)}"
 
 
-@dataclass(repr=False)
+@dataclass(frozen=True, repr=False)
 class MovFuncAddr(Insn):
     """Materialize a function's address (patched by the linker).
 
@@ -153,7 +161,7 @@ class MovFuncAddr(Insn):
         return f"mov {regs.name(self.dst)}, &{self.func} ({self.value:#x})"
 
 
-@dataclass(repr=False)
+@dataclass(frozen=True, repr=False)
 class Alu(Insn):
     """3-address ALU op; ops as in the IR (add/sub/.../shr)."""
 
@@ -178,7 +186,7 @@ class Imm:
         return f"${self.value}"
 
 
-@dataclass(repr=False)
+@dataclass(frozen=True, repr=False)
 class SetCC(Insn):
     op: str  # one of COND_OPS
     dst: int
@@ -189,7 +197,7 @@ class SetCC(Insn):
         return f"set{self.op} {regs.name(self.dst)}, {_opnd(self.a)}, {_opnd(self.b)}"
 
 
-@dataclass(repr=False)
+@dataclass(frozen=True, repr=False)
 class Load(Insn):
     dst: int
     mem: Mem
@@ -200,7 +208,7 @@ class Load(Insn):
         return f"load{self.size} {regs.name(self.dst)}, {self.mem!r}"
 
 
-@dataclass(repr=False)
+@dataclass(frozen=True, repr=False)
 class Store(Insn):
     mem: Mem
     src: "int | Imm"
@@ -211,7 +219,7 @@ class Store(Insn):
         return f"store{self.size} {self.mem!r}, {_opnd(self.src)}"
 
 
-@dataclass(repr=False)
+@dataclass(frozen=True, repr=False)
 class Lea(Insn):
     dst: int
     mem: Mem
@@ -220,7 +228,7 @@ class Lea(Insn):
         return f"lea {regs.name(self.dst)}, {self.mem!r}"
 
 
-@dataclass(repr=False)
+@dataclass(frozen=True, repr=False)
 class Push(Insn):
     src: "int | Imm"
     cost_class = "mem"
@@ -229,7 +237,7 @@ class Push(Insn):
         return f"push {_opnd(self.src)}"
 
 
-@dataclass(repr=False)
+@dataclass(frozen=True, repr=False)
 class Pop(Insn):
     dst: int
     cost_class = "mem"
@@ -238,7 +246,7 @@ class Pop(Insn):
         return f"pop {regs.name(self.dst)}"
 
 
-@dataclass(repr=False)
+@dataclass(frozen=True, repr=False)
 class Jmp(Insn):
     target: str
     addr: int = -1
@@ -248,7 +256,7 @@ class Jmp(Insn):
         return f"jmp {self.target}"
 
 
-@dataclass(repr=False)
+@dataclass(frozen=True, repr=False)
 class Br(Insn):
     """Compare-and-branch (folds x64's cmp+jcc into one word)."""
 
@@ -263,7 +271,7 @@ class Br(Insn):
         return f"b{self.op} {_opnd(self.a)}, {_opnd(self.b)}, {self.target}"
 
 
-@dataclass(repr=False)
+@dataclass(frozen=True, repr=False)
 class JmpTable(Insn):
     """Jump-table dispatch: ``pc = table[reg - base]``.
 
@@ -287,7 +295,7 @@ class JmpTable(Insn):
         )
 
 
-@dataclass(repr=False)
+@dataclass(frozen=True, repr=False)
 class CallD(Insn):
     """Direct call: pushes the return address, jumps to the label.
 
@@ -305,7 +313,7 @@ class CallD(Insn):
         return f"call {self.target} bits={self.site_bits:05b}"
 
 
-@dataclass(repr=False)
+@dataclass(frozen=True, repr=False)
 class CallI(Insn):
     """Indirect call through a register (CFI-checked beforehand)."""
 
@@ -316,7 +324,7 @@ class CallI(Insn):
         return f"call {regs.name(self.reg)}"
 
 
-@dataclass(repr=False)
+@dataclass(frozen=True, repr=False)
 class RetPlain(Insn):
     """Vanilla return; only the Base pipeline emits it."""
 
@@ -326,7 +334,7 @@ class RetPlain(Insn):
         return "ret"
 
 
-@dataclass(repr=False)
+@dataclass(frozen=True, repr=False)
 class JmpInd(Insn):
     """Memory-indirect jump; only linker-generated T-import stubs use
     it, through the read-only externals table (ConfVerify enforces
@@ -339,7 +347,7 @@ class JmpInd(Insn):
         return f"jmp {self.mem!r}"
 
 
-@dataclass(repr=False)
+@dataclass(frozen=True, repr=False)
 class JmpReg(Insn):
     """Jump to reg+skip; the tail of the CFI return sequence (the
     ``add r, 8; jmp r`` of Section 4)."""
@@ -352,7 +360,7 @@ class JmpReg(Insn):
         return f"jmp {regs.name(self.reg)}+{self.skip}"
 
 
-@dataclass(repr=False)
+@dataclass(frozen=True, repr=False)
 class CheckMagic(Insn):
     """The CFI compare: fault unless ``code[reg]`` equals the expected
     magic word.  Stores the *bitwise negation* of the expected word so
@@ -376,7 +384,7 @@ class CheckMagic(Insn):
         )
 
 
-@dataclass(repr=False)
+@dataclass(frozen=True, repr=False)
 class BndChk(Insn):
     """MPX bound check (bndcl+bndcu pair folded into one word of cost
     2x a single check).  ``bnd`` is 0 (public) or 1 (private).  The
@@ -393,7 +401,7 @@ class BndChk(Insn):
         return f"bndchk bnd{self.bnd}, {what}"
 
 
-@dataclass(repr=False)
+@dataclass(frozen=True, repr=False)
 class ChkStk(Insn):
     """Inline ``_chkstk``: fault if rsp escaped the thread's stack."""
 
@@ -403,7 +411,7 @@ class ChkStk(Insn):
         return "chkstk"
 
 
-@dataclass(repr=False)
+@dataclass(frozen=True, repr=False)
 class TlsBase(Insn):
     """Compute the TLS base: mask the low 20 bits of rsp to zero
     (Section 3, multi-threading support)."""
@@ -414,7 +422,7 @@ class TlsBase(Insn):
         return f"tlsbase {regs.name(self.dst)}"
 
 
-@dataclass(repr=False)
+@dataclass(frozen=True, repr=False)
 class ShadowPush(Insn):
     """Shadow-stack ablation: record the return address on entry."""
 
@@ -424,7 +432,7 @@ class ShadowPush(Insn):
         return "shadowpush"
 
 
-@dataclass(repr=False)
+@dataclass(frozen=True, repr=False)
 class ShadowPop(Insn):
     """Shadow-stack ablation: check [rsp] against the shadow top."""
 
@@ -434,7 +442,7 @@ class ShadowPop(Insn):
         return "shadowpop"
 
 
-@dataclass(repr=False)
+@dataclass(frozen=True, repr=False)
 class Halt(Insn):
     """Terminate the program (the loader plants the top-level return
     here)."""
@@ -445,7 +453,7 @@ class Halt(Insn):
         return "halt"
 
 
-@dataclass(repr=False)
+@dataclass(frozen=True, repr=False)
 class Fail(Insn):
     """__debugbreak: unconditional CFI failure trap."""
 

@@ -15,7 +15,10 @@ separate-compilation toolchain, mirroring the paper's per-unit compile
   project's definition of "bit-identical" artifacts.
 * :class:`~repro.build.cache.ObjectCache` — a content-addressed object
   store keyed by (format version, source hash, config fingerprint,
-  seed); hits skip every compile stage up to and including codegen.
+  seed, library signatures); hits skip every compile stage up to and
+  including codegen.
+* :mod:`~repro.build.library` — library units a source links against
+  with ``use <name>;``, compiled once per session and configuration.
 
 ``BuildSession.build_many`` builds a batch of independent (source,
 config) requests one after another on the calling thread, in request

@@ -47,14 +47,21 @@ from ..minic.types import (
     VoidType,
 )
 from ..taint.lattice import Taint
+from .library import library_signatures
 
-#: Bump whenever the encoded shape of any artifact changes; cached
-#: objects written under a different version are never read back.
+#: Bump whenever the encoded shape of a unit changes; cached objects
+#: written under a different version are never read back.
 #: v2: binaries carry the ``check_sites`` map (addr -> check category).
 #: v3: BuildConfig gained the ``checkopt`` level (part of the config
 #: fingerprint, so differently-checkopted units never share a cache
 #: entry).
-FORMAT_VERSION = 3
+#: v4: units record the library units they use (``UObject.libraries``).
+FORMAT_VERSION = 4
+
+#: The linked-binary encoding's version, bumped when it changes (it
+#: has not since v3), so binary bytes stay comparable across releases
+#: that only change units.
+BINARY_FORMAT_VERSION = 3
 
 
 class SerializeError(ReproError):
@@ -127,7 +134,10 @@ def _dec(value):
         cls = _NODE_CLASSES.get(tag)
         if cls is None:
             raise SerializeError(f"unknown node tag {tag!r}")
-        return cls(**{name: _dec(v) for name, v in value["f"].items()})
+        fields = {name: _dec(v) for name, v in value["f"].items()}
+        if cls is CompiledFunction:
+            fields["insns"] = tuple(fields["insns"])
+        return cls(**fields)
     if isinstance(value, list):
         return [_dec(item) for item in value]
     return value
@@ -216,7 +226,7 @@ def _canon(doc) -> bytes:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
 
 
-def _open_envelope(data: bytes, kind: str) -> dict:
+def _open_envelope(data: bytes, kind: str, expected: int) -> dict:
     try:
         doc = json.loads(data.decode())
     except (ValueError, UnicodeDecodeError) as error:
@@ -224,10 +234,10 @@ def _open_envelope(data: bytes, kind: str) -> dict:
     if not isinstance(doc, dict):
         raise SerializeError(f"corrupt {kind} artifact: not an object")
     version = doc.get("format")
-    if version != FORMAT_VERSION:
+    if version != expected:
         raise SerializeError(
             f"unsupported {kind} format version {version!r} "
-            f"(this toolchain writes v{FORMAT_VERSION})"
+            f"(this toolchain writes v{expected})"
         )
     if doc.get("kind") != kind:
         raise SerializeError(
@@ -266,13 +276,14 @@ def dump_uobject(obj: UObject) -> bytes:
         "globals": [[name, _enc(g)] for name, g in obj.globals.items()],
         "imports": [_enc_sig(s) for s in obj.imports],
         "externals": [_enc_sig(s) for s in obj.externals],
+        "libraries": list(obj.libraries),
     }
     return _canon(doc)
 
 
 def load_uobject(data: bytes) -> UObject:
     """Reconstruct a compilation unit from :func:`dump_uobject` bytes."""
-    doc = _open_envelope(data, "uobject")
+    doc = _open_envelope(data, "uobject", FORMAT_VERSION)
     try:
         return UObject(
             name=doc["name"],
@@ -281,6 +292,7 @@ def load_uobject(data: bytes) -> UObject:
             imports=[_dec_sig(s) for s in doc["imports"]],
             config=_dec_config(doc["config"]),
             externals=[_dec_sig(s) for s in doc["externals"]],
+            libraries=list(doc["libraries"]),
         )
     except _DECODE_ERRORS as error:
         raise _malformed("uobject", error) from error
@@ -299,7 +311,7 @@ def dump_binary(binary: Binary) -> bytes:
     if layout is None:
         raise SerializeError("binary has no layout (not linked?)")
     doc = {
-        "format": FORMAT_VERSION,
+        "format": BINARY_FORMAT_VERSION,
         "kind": "binary",
         "config": _enc_config(binary.config),
         "code": [_enc(insn) for insn in binary.code],
@@ -331,7 +343,7 @@ def dump_binary(binary: Binary) -> bytes:
 
 def load_binary(data: bytes) -> Binary:
     """Reconstruct a linked, loadable binary from :func:`dump_binary`."""
-    doc = _open_envelope(data, "binary")
+    doc = _open_envelope(data, "binary", BINARY_FORMAT_VERSION)
     try:
         return _dec_binary(doc)
     except _DECODE_ERRORS as error:
@@ -391,9 +403,11 @@ def object_cache_key(
     """The content-addressed cache key for one compiled unit.
 
     Key components: serialization format version, source hash, config
-    fingerprint, link seed, and the separate-compilation mode flag.
-    Distinct configs and distinct seeds can never collide — each
-    component is hashed into the digest.
+    fingerprint, link seed, the separate-compilation mode flag, and the
+    (name, signature digest) pairs of the library units the source may
+    use (:func:`~repro.build.library.library_signatures`).  Distinct
+    configs and distinct seeds can never collide — each component is
+    hashed into the digest.
     """
     parts = "\0".join(
         (
@@ -402,6 +416,7 @@ def object_cache_key(
             config_fingerprint(config),
             repr(seed),
             repr(bool(allow_undefined)),
+            repr(library_signatures(source)),
         )
     )
     return _hexdigest(parts.encode())

@@ -16,10 +16,16 @@ translation validation.
 Sessions optionally carry
 
 * an :class:`~repro.build.cache.ObjectCache`: ``compile_unit`` looks up
-  the (format version, source hash, config fingerprint, seed) key
-  before running any stage, and a hit deserializes the stored object
-  instead of compiling — no parse/sema/lower/opt/codegen spans are
-  recorded, only a ``build.cache.hit`` counter.
+  the (format version, source hash, config fingerprint, seed, library
+  signatures) key before running any stage, and a hit deserializes the
+  stored object instead of compiling — no parse/sema/lower/opt/codegen
+  spans are recorded, only a ``build.cache.hit`` counter.
+
+A unit that says ``use libmini;`` compiles against the library's
+prototypes (:mod:`repro.build.library`); ``link_units`` links the
+library unit ahead of it.  Each session compiles a library unit once per
+(config, seed) — through the cache, like any unit — and shares that one
+object across every link, which never writes to its inputs.
 
 One process-wide *default session* backs the compatibility wrappers
 ``repro.compile_source`` / ``repro.compile_and_load``; scope a custom
@@ -43,6 +49,7 @@ from ..obs import events
 from ..opt.checkopt import run_checkopt
 from ..opt.pipeline import optimize_module
 from .cache import ObjectCache
+from .library import library, resolve_uses
 from .serialize import (
     SerializeError,
     dump_uobject,
@@ -83,13 +90,15 @@ class BuildSession:
 
     def __init__(self, cache: ObjectCache | None = None, jobs: int = 1):
         self.cache = cache
+        # (library name, config, seed) -> its compiled unit.
+        self._libraries: dict[tuple, UObject] = {}
 
     # ------------------------------------------------------------------
     # Stages.  Span names and nesting are identical to the historical
     # monolithic driver, so observability output is unchanged.
 
     def stage_parse(self, source: str, filename: str = "<input>") -> StageResult:
-        return StageResult("parse", parse(source, filename))
+        return StageResult("parse", resolve_uses(parse(source, filename)))
 
     def stage_sema(self, parsed: StageResult, config: BuildConfig) -> StageResult:
         with events.span("compile.sema"):
@@ -143,8 +152,9 @@ class BuildSession:
 
         With a cache attached, a hit returns a fresh deserialized copy
         and skips every compile stage (including its obs spans); a miss
-        compiles, then stores the unit *before* it is linked (linking
-        patches instruction words in place).
+        compiles, then stores the unit.  A unit that uses a library
+        records it in ``UObject.libraries``; the library itself is
+        compiled when the unit is linked.
         """
         digest = None
         if use_cache and self.cache is not None:
@@ -173,14 +183,38 @@ class BuildSession:
     # ------------------------------------------------------------------
     # Linking and the one-call driver.
 
+    def library_unit(
+        self, name: str, config: BuildConfig, seed: int | None = None
+    ) -> UObject:
+        """The library unit ``name`` under ``config``, compiled on first
+        request and shared by every later link in this session."""
+        key = (name, config, seed)
+        obj = self._libraries.get(key)
+        if obj is None:
+            obj = self.compile_unit(
+                library(name).source, config, filename=name, seed=seed
+            )
+            self._libraries[key] = obj
+        return obj
+
     def link_units(
         self,
         objs: UObject | list[UObject],
         entry: str = "main",
         seed: int | None = None,
     ) -> Binary:
-        """Link one or more units, resolving cross-object externals."""
-        return link(objs, entry=entry, seed=seed)
+        """Link one or more units, resolving cross-object externals.
+
+        The library units the objects use come first, in first-use
+        order, as if their source preceded the units' own."""
+        units = [objs] if isinstance(objs, UObject) else list(objs)
+        names = dict.fromkeys(n for obj in units for n in obj.libraries)
+        if names:
+            config = units[0].config
+            units = [
+                self.library_unit(name, config, seed) for name in names
+            ] + units
+        return link(units, entry=entry, seed=seed)
 
     def build(
         self,

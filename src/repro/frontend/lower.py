@@ -732,9 +732,12 @@ def lower_program(
     ``allow_undefined`` enables separate compilation: untrusted
     functions that are declared but not defined become *cross-object
     externals* (``module.u_externs``) for the multi-object linker to
-    resolve against another unit, instead of a hard error.
+    resolve against another unit, instead of a hard error.  Prototypes
+    a ``use`` directive brought in always do: their library unit
+    defines them.
     """
     module = IRModule(module_name)
+    module.libraries = checked.ast.libraries
     string_names: dict[bytes, str] = {}
     for data in dict.fromkeys(checked.strings):
         # Content-addressed names: identical literals in separately
@@ -786,7 +789,7 @@ def lower_program(
                 ),
             )
         elif info.body is None:
-            if not allow_undefined:
+            if not allow_undefined and info.library is None:
                 raise CodegenError(
                     f"function {info.name!r} declared but never defined "
                     "(only 'extern trusted' imports may lack bodies; "

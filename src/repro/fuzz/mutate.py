@@ -33,7 +33,7 @@ one instruction with no dataflow effect at all in the verifier).
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator
 
 from ..backend import isa, regs
@@ -369,6 +369,22 @@ def _apply_nop_out(binary: Binary, site: Site) -> None:
     binary.code[site.index] = _nop()
 
 
+def _patch(binary: Binary, site: Site, **changes) -> None:
+    """Replace the site's word with a copy carrying ``changes`` (words
+    are frozen)."""
+    binary.code[site.index] = replace(binary.code[site.index], **changes)
+
+
+def _xor_field(binary: Binary, site: Site, name: str, mask: int) -> None:
+    word = binary.code[site.index]
+    _patch(binary, site, **{name: getattr(word, name) ^ mask})
+
+
+def _patch_mem(binary: Binary, site: Site, **changes) -> None:
+    mem = binary.code[site.index].mem
+    _patch(binary, site, mem=replace(mem, **changes))
+
+
 def _find_flip_store_guard(ctx: _Context) -> list[Site]:
     """Retarget the bnd1 check guarding a store at bnd0 (private-region
     evidence becomes public-region evidence) when the stored value is
@@ -411,7 +427,7 @@ def _find_flip_store_guard(ctx: _Context) -> list[Site]:
 
 
 def _apply_flip_bnd(binary: Binary, site: Site) -> None:
-    binary.code[site.index].bnd ^= 1
+    _xor_field(binary, site, "bnd", 1)
 
 
 # ---------------------------------------------------------------------------
@@ -450,9 +466,7 @@ def _find_strip_prefix(ctx: _Context) -> list[Site]:
 
 
 def _apply_strip_prefix(binary: Binary, site: Site) -> None:
-    mem = binary.code[site.index].mem
-    mem.seg = None
-    mem.use32 = False
+    _patch_mem(binary, site, seg=None, use32=False)
 
 
 def _find_widen_subreg(ctx: _Context) -> list[Site]:
@@ -462,7 +476,7 @@ def _find_widen_subreg(ctx: _Context) -> list[Site]:
 
 
 def _apply_widen_subreg(binary: Binary, site: Site) -> None:
-    binary.code[site.index].mem.use32 = False
+    _patch_mem(binary, site, use32=False)
 
 
 def _find_swap_store_segment(ctx: _Context) -> list[Site]:
@@ -492,7 +506,7 @@ def _find_swap_store_segment(ctx: _Context) -> list[Site]:
 
 
 def _apply_swap_segment(binary: Binary, site: Site) -> None:
-    binary.code[site.index].mem.seg = isa.SEG_FS
+    _patch_mem(binary, site, seg=isa.SEG_FS)
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +530,7 @@ def _find_flip_entry_ret_bit(ctx: _Context) -> list[Site]:
 
 
 def _apply_flip_magic_bit4(binary: Binary, site: Site) -> None:
-    binary.code[site.index].value ^= 0x10
+    _xor_field(binary, site, "value", 0x10)
 
 
 def _find_flip_ret_site_bit(ctx: _Context) -> list[Site]:
@@ -542,7 +556,7 @@ def _find_flip_ret_site_bit(ctx: _Context) -> list[Site]:
 
 
 def _apply_flip_magic_bit0(binary: Binary, site: Site) -> None:
-    binary.code[site.index].value ^= 0x1
+    _xor_field(binary, site, "value", 0x1)
 
 
 def _plain_sites(ctx: _Context) -> Iterator[int]:
@@ -581,9 +595,9 @@ def _find_forge_ret_magic(ctx: _Context) -> list[Site]:
 
 
 def _apply_forge_ret_magic(binary: Binary, site: Site) -> None:
-    word = isa.MagicWord("ret", 0)
-    word.value = (binary.mcall_prefix << 5) | 0x1F
-    binary.code[site.index] = word
+    binary.code[site.index] = isa.MagicWord(
+        "ret", 0, (binary.mcall_prefix << 5) | 0x1F
+    )
 
 
 def _find_clone_ret_magic(ctx: _Context) -> list[Site]:
@@ -601,9 +615,9 @@ def _find_clone_ret_magic(ctx: _Context) -> list[Site]:
 
 
 def _apply_clone_ret_magic(binary: Binary, site: Site) -> None:
-    word = isa.MagicWord("ret", 0)
-    word.value = binary.mret_prefix << 5
-    binary.code[site.index] = word
+    binary.code[site.index] = isa.MagicWord(
+        "ret", 0, binary.mret_prefix << 5
+    )
 
 
 def _find_forge_call_magic(ctx: _Context) -> list[Site]:
@@ -621,9 +635,9 @@ def _find_forge_call_magic(ctx: _Context) -> list[Site]:
 
 
 def _apply_forge_call_magic(binary: Binary, site: Site) -> None:
-    word = isa.MagicWord("call", 0)
-    word.value = ((binary.mcall_prefix ^ 0x3) << 5) | 0x1F
-    binary.code[site.index] = word
+    binary.code[site.index] = isa.MagicWord(
+        "call", 0, ((binary.mcall_prefix ^ 0x3) << 5) | 0x1F
+    )
 
 
 def _find_clobber_prefix(ctx: _Context) -> list[Site]:
@@ -675,7 +689,7 @@ def _find_redirect_call(ctx: _Context) -> list[Site]:
 
 
 def _apply_redirect_call(binary: Binary, site: Site) -> None:
-    binary.code[site.index].addr += 1
+    _patch(binary, site, addr=binary.code[site.index].addr + 1)
 
 
 def _find_drop_icall_check(ctx: _Context) -> list[Site]:
@@ -712,7 +726,7 @@ def _find_retarget_icall_check(ctx: _Context) -> list[Site]:
 
 def _apply_retarget_icall_check(binary: Binary, site: Site) -> None:
     # Flip a bit inside the 59-bit prefix portion of the expected word.
-    binary.code[site.index].inv_value ^= 1 << 6
+    _xor_field(binary, site, "inv_value", 1 << 6)
 
 
 def _find_flip_icall_ret_bit(ctx: _Context) -> list[Site]:
@@ -733,7 +747,7 @@ def _find_flip_icall_ret_bit(ctx: _Context) -> list[Site]:
 
 
 def _apply_flip_icall_ret_bit(binary: Binary, site: Site) -> None:
-    binary.code[site.index].inv_value ^= 1 << 4
+    _xor_field(binary, site, "inv_value", 1 << 4)
 
 
 def _find_break_ret_sequence(ctx: _Context) -> list[Site]:
@@ -759,7 +773,7 @@ def _find_break_ret_sequence(ctx: _Context) -> list[Site]:
 
 
 def _apply_break_ret_sequence(binary: Binary, site: Site) -> None:
-    binary.code[site.index].skip = 2
+    _patch(binary, site, skip=2)
 
 
 def _find_drop_ret_check(ctx: _Context) -> list[Site]:
@@ -840,7 +854,7 @@ def _find_rsp_nonconstant(ctx: _Context) -> list[Site]:
 
 
 def _apply_rsp_nonconstant(binary: Binary, site: Site) -> None:
-    binary.code[site.index].b = regs.R11
+    _patch(binary, site, b=regs.R11)
 
 
 def _find_rsp_overwrite(ctx: _Context) -> list[Site]:
@@ -913,7 +927,7 @@ def _find_retarget_jump(ctx: _Context) -> list[Site]:
 
 
 def _apply_retarget_jump(binary: Binary, site: Site) -> None:
-    binary.code[site.index].addr = len(binary.code) + 17
+    _patch(binary, site, addr=len(binary.code) + 17)
 
 
 def _find_retarget_stub(ctx: _Context) -> list[Site]:
@@ -933,7 +947,7 @@ def _find_retarget_stub(ctx: _Context) -> list[Site]:
 
 
 def _apply_retarget_stub(binary: Binary, site: Site) -> None:
-    binary.code[site.index].mem.abs += 4096
+    _patch_mem(binary, site, abs=binary.code[site.index].mem.abs + 4096)
 
 
 # ---------------------------------------------------------------------------

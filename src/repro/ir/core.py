@@ -624,6 +624,8 @@ class IRModule:
         # Untrusted functions declared but defined in *another* unit
         # (separate compilation); resolved by the multi-object linker.
         self.u_externs: dict[str, ExternSig] = {}
+        # Library units the module links against, in ``use`` order.
+        self.libraries: tuple[str, ...] = ()
 
     def add_function(self, func: IRFunction) -> None:
         if func.name in self.functions:

@@ -1,6 +1,11 @@
 """The linker: lays out code and globals, generates T-import stubs,
 chooses the magic-sequence prefixes post-link, and patches everything.
 
+Linking never writes to its input units: ISA words are frozen, and a
+word that needs a link-time address or magic value is copied with
+``dataclasses.replace``.  So one compiled unit (a library unit, say)
+can be shared by any number of links.
+
 Mirrors Section 6 of the paper:
 
 * U functions are linked into one code space; each T import gets a stub
@@ -20,6 +25,7 @@ Mirrors Section 6 of the paper:
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from ..arith import MASK64
 from ..backend import isa
@@ -224,8 +230,10 @@ def _link(obj: UObject, entry: str, seed: int | None) -> Binary:
 
     # Start thunk: call main, then halt.
     entry_fn = next(f for f in obj.functions if f.name == entry)
-    start: list[isa.Insn] = [isa.Label("__start"), isa.CallD(entry)]
-    start[-1].site_bits = entry_fn.entry_bits
+    start: list[isa.Insn] = [
+        isa.Label("__start"),
+        isa.CallD(entry, site_bits=entry_fn.entry_bits),
+    ]
     if config.cfi and not config.shadow_stack:
         start.append(isa.MagicWord("ret", isa.mret_bits(entry_fn.ret_taint)))
     start.append(isa.Halt())
@@ -285,16 +293,19 @@ def _link(obj: UObject, entry: str, seed: int | None) -> Binary:
             len(ext.arg_taints),
         )
 
-    for insn in code:
+    for index, insn in enumerate(code):
+        patched = insn
         if isinstance(insn, isa.JmpTable):
             try:
-                insn.addrs = [label_addrs[t] for t in insn.targets]
+                patched = replace(
+                    insn, addrs=[label_addrs[t] for t in insn.targets]
+                )
             except KeyError as missing:
                 raise LinkError(f"unresolved jump-table target {missing}")
         if isinstance(insn, (isa.Jmp, isa.Br, isa.CallD)):
             if insn.target not in label_addrs:
                 raise LinkError(f"unresolved label {insn.target!r}")
-            insn.addr = label_addrs[insn.target]
+            patched = replace(insn, addr=label_addrs[insn.target])
         if isinstance(insn, isa.CallD):
             callee_bits = entry_bits_of.get(insn.target)
             if callee_bits is None:
@@ -309,27 +320,34 @@ def _link(obj: UObject, entry: str, seed: int | None) -> Binary:
             if insn.func not in label_addrs:
                 raise LinkError(f"address of unknown function {insn.func!r}")
             if config.cfi and not config.shadow_stack:
-                insn.value = CODE_BASE + func_magic_addrs[insn.func]
+                value = CODE_BASE + func_magic_addrs[insn.func]
             else:
-                insn.value = CODE_BASE + label_addrs[insn.func]
+                value = CODE_BASE + label_addrs[insn.func]
+            patched = replace(insn, value=value)
         mem = getattr(insn, "mem", None)
         if mem is not None and mem.global_name is not None:
             if mem.global_name not in global_addrs:
                 raise LinkError(f"unresolved global {mem.global_name!r}")
-            mem.abs = global_addrs[mem.global_name]
+            patched = replace(
+                patched, mem=replace(mem, abs=global_addrs[mem.global_name])
+            )
+        if patched is not insn:
+            code[index] = patched
 
     # ------------------------------------------------------------------
     # 4. Choose magic prefixes and patch magic words / checks.
     rng = random.Random(seed if seed is not None else 0xC0FFEE)
     mcall_prefix, mret_prefix = _choose_prefixes(code, rng)
-    for insn in code:
+    for index, insn in enumerate(code):
         if isinstance(insn, isa.MagicWord):
             prefix = mcall_prefix if insn.kind == "call" else mret_prefix
-            insn.value = ((prefix << 5) | insn.taint_bits) & MASK64
+            code[index] = replace(
+                insn, value=((prefix << 5) | insn.taint_bits) & MASK64
+            )
         elif isinstance(insn, isa.CheckMagic):
             prefix = mcall_prefix if insn.kind == "call" else mret_prefix
             expected = ((prefix << 5) | insn.taint_bits) & MASK64
-            insn.inv_value = ~expected & MASK64
+            code[index] = replace(insn, inv_value=~expected & MASK64)
 
     # ------------------------------------------------------------------
     # 5. Global initializers.

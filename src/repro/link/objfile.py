@@ -15,7 +15,7 @@ class CompiledFunction:
     """One function's instruction stream plus CFI metadata."""
 
     name: str
-    insns: list[Insn]
+    insns: tuple[Insn, ...]
     # Taint bits for the entry magic word (4 args + return).
     entry_bits: int
     arg_taints: list[Taint]
@@ -45,6 +45,9 @@ class UObject:
     # linker resolves each against a definition in another unit and
     # checks the declared taint signature against the definition.
     externals: list[ExternSig] = field(default_factory=list)
+    # Library units (``use`` directives) this unit links against, in
+    # ``use`` order; ``BuildSession.link_units`` places them first.
+    libraries: list[str] = field(default_factory=list)
 
 
 @dataclass

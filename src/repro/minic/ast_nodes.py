@@ -276,6 +276,9 @@ class FuncDef:
     loc: SourceLocation
     trusted: bool = False
     extern: bool = False
+    # The library unit that defines this function, on the bodiless
+    # prototypes a ``use`` directive stands for (see repro.build.library).
+    library: str | None = None
 
 
 @dataclass
@@ -294,5 +297,17 @@ class StructDef:
 
 
 @dataclass
+class Use:
+    """A file-scope ``use <library>;`` directive: the unit links against
+    that library unit and type-checks against its prototypes."""
+
+    name: str
+    loc: SourceLocation
+
+
+@dataclass
 class Program:
-    decls: list[object] = field(default_factory=list)  # FuncDef|GlobalVar|StructDef
+    decls: list[object] = field(default_factory=list)  # FuncDef|GlobalVar|StructDef|Use
+    # The libraries the unit uses, in ``use`` order, once the build
+    # driver has replaced each Use with its library's prototypes.
+    libraries: tuple[str, ...] = ()

@@ -45,6 +45,7 @@ from .ast_nodes import (
     SwitchCase,
     TypeExpr,
     Unary,
+    Use,
     VarArg,
     While,
 )
@@ -246,7 +247,21 @@ class Parser:
         return program
 
     def _parse_top_decl(self):
-        loc = self._peek().loc
+        tok = self._peek()
+        loc = tok.loc
+        if tok.kind == TK_IDENT and tok.text == "use":
+            # ``use`` is a directive only here, where no declaration can
+            # start with an identifier; elsewhere it is a plain name.
+            self._next()
+            name = self._next()
+            if name.kind != TK_IDENT:
+                raise ParseError(
+                    f"expected a library name after 'use', found "
+                    f"{name.text!r}",
+                    name.loc,
+                )
+            self._expect_punct(";")
+            return Use(name.text, loc)
         if (
             self._peek().is_keyword("struct")
             and self._peek(1).kind == TK_IDENT

@@ -65,6 +65,8 @@ class FunctionInfo:
     body: ast.Block | None = None
     locals: list[LocalSymbol] = field(default_factory=list)
     varargs: bool = False
+    # The library unit defining a function this unit only declares.
+    library: str | None = None
 
 
 @dataclass
@@ -227,6 +229,12 @@ class Sema:
                 self._declare_function(decl)
             elif isinstance(decl, ast.GlobalVar):
                 self._declare_global(decl)
+            elif isinstance(decl, ast.Use):
+                raise SemaError(
+                    f"'use {decl.name};' is resolved by the build driver "
+                    "(repro.build), not by semantic analysis",
+                    decl.loc,
+                )
 
     def _declare_function(self, decl: ast.FuncDef) -> None:
         # Trusted (T) signatures are part of the trusted interface and
@@ -268,6 +276,7 @@ class Sema:
                 existing.body = decl.body
                 existing.extern = False
                 existing.param_names = [p.name for p in decl.params]
+            existing.library = existing.library or decl.library
             return
         self._functions[decl.name] = FunctionInfo(
             name=decl.name,
@@ -278,6 +287,7 @@ class Sema:
             loc=decl.loc,
             body=decl.body,
             varargs=decl.varargs,
+            library=decl.library,
         )
 
     def _declare_global(self, decl: ast.GlobalVar) -> None:

@@ -370,7 +370,7 @@ def run_checkopt(obj, config) -> None:
                         "opt.witness_rejected", **{"pass": "checkopt"}
                     ).inc()
                 continue
-            func.insns = optimized
+            func.insns = tuple(optimized)
             if registry is not None:
                 for edit in witness.edits:
                     events.counter(

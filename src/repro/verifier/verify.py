@@ -621,7 +621,7 @@ def verify_check_sites(binary: Binary) -> None:
     """Cross-check the recorded check-site metadata against the code.
 
     Kept outside the :meth:`BinaryVerifier.verify` gauntlet on purpose:
-    the mutation-kill corpus rewrites instructions in place, and a
+    the mutation-kill corpus replaces code words, and a
     stale-metadata rejection there would mask the *semantic* reason a
     mutant must be killed.  Overhead reports call this before trusting
     ``binary.check_sites``.

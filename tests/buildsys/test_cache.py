@@ -1,7 +1,7 @@
 """Content-addressed object cache: key isolation across configs and
 seeds, hit/miss/evict accounting through repro.obs, cold==warm
-determinism (single builds and ``build_many`` batches), LRU eviction,
-and corrupt-entry recovery.
+determinism (single builds and ``build_many`` batches), library units
+keyed by their signatures, LRU eviction, and corrupt-entry recovery.
 """
 
 from __future__ import annotations
@@ -10,8 +10,9 @@ import hashlib
 import json
 import pathlib
 
-from repro import OUR_MPX, OUR_SEG
-from repro.apps.spec import kernel_source
+from repro import BASE, OUR_MPX, OUR_SEG
+from repro.apps.libmini import LIBMINI
+from repro.apps.spec import SPEC_NAMES, kernel_source
 from repro.build import (
     BuildRequest,
     BuildSession,
@@ -20,6 +21,7 @@ from repro.build import (
     load_uobject,
     object_cache_key,
 )
+from repro.build.library import LIBRARIES
 from repro.config import ALL_CONFIGS
 from repro.link.loader import load
 from repro.obs import events
@@ -145,6 +147,74 @@ class TestBuildMany:
         assert "compile.codegen" not in {s.name for s in registry.spans}
         for a, b in zip(cold, warm, strict=True):
             assert dump_binary(a) == dump_binary(b)
+
+
+#: The benchmark's SPEC configs: 11 kernels under these are 44 units.
+SPEC_CONFIGS = (BASE, OUR_MPX, OUR_SEG, OUR_MPX.variant(checkopt="aggressive"))
+
+
+def spec_requests(seed):
+    return [
+        BuildRequest(kernel_source(name), config, seed=seed,
+                     verify=config.instrumented)
+        for name in SPEC_NAMES
+        for config in SPEC_CONFIGS
+    ]
+
+
+class TestLibraryUnits:
+    def test_warm_spec_rebuild_hits_every_unit(self, tmp_path):
+        cache = ObjectCache(tmp_path)
+        requests = spec_requests(1)
+        cold = BuildSession(cache=cache).build_many(requests)
+        registry = events.Registry()
+        with events.use(registry):
+            warm = BuildSession(cache=cache).build_many(requests)
+        snap = registry.metrics_snapshot()
+        # Every kernel, plus libmini once per config.
+        assert snap["build.cache.hit"] == len(requests) + len(SPEC_CONFIGS)
+        assert "build.cache.miss" not in snap
+        assert "compile.codegen" not in {s.name for s in registry.spans}
+        for a, b in zip(cold, warm, strict=True):
+            assert dump_binary(a) == dump_binary(b)
+
+    def test_using_key_follows_signatures_not_bodies(self, monkeypatch):
+        using = kernel_source("mcf")
+
+        def keys():
+            return (
+                object_cache_key(using, OUR_MPX, 1),
+                object_cache_key(LIBRARIES["libmini"], OUR_MPX, 1),
+            )
+
+        using_key, library_key = keys()
+        monkeypatch.setitem(
+            LIBRARIES, "libmini",
+            LIBMINI.replace("int n = 0;", "int n = 0 + 0;", 1),
+        )
+        assert keys()[0] == using_key
+        assert keys()[1] != library_key
+        monkeypatch.setitem(
+            LIBRARIES, "libmini",
+            LIBMINI.replace("int mini_strlen(char *s)",
+                            "int mini_strlen(private char *s)", 1),
+        )
+        assert keys()[0] != using_key
+
+    def test_body_edit_rebuilds_only_the_library(self, tmp_path,
+                                                 monkeypatch):
+        cache = ObjectCache(tmp_path)
+        using = kernel_source("lbm")
+        BuildSession(cache=cache).build(using, OUR_MPX, seed=1)
+        monkeypatch.setitem(
+            LIBRARIES, "libmini",
+            LIBMINI.replace("int n = 0;", "int n = 0 + 0;", 1),
+        )
+        registry = events.Registry()
+        with events.use(registry):
+            BuildSession(cache=cache).build(using, OUR_MPX, seed=1)
+        snap = registry.metrics_snapshot()
+        assert (snap["build.cache.hit"], snap["build.cache.miss"]) == (1, 1)
 
 
 class TestEviction:

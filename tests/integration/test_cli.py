@@ -281,6 +281,53 @@ class TestPrototypeInjectionHeuristic:
         assert not _has_trusted_declarations("int extern_trusted = 1;")
 
 
+USES_LIBMINI = """use libmini;
+char buf[32];
+int main() {
+    mini_strcpy(buf, "use");
+    return mini_strlen(buf) + mini_atoi("40");
+}
+"""
+
+
+class TestCliLibraryUse:
+    """A file that starts with ``use libmini;``: the CLI's T-prototype
+    prepend lands before the directive, and the library needs none."""
+
+    @pytest.mark.parametrize("flags", [[], ["--no-prototypes"]])
+    def test_run_and_build_link(self, tmp_path, capsys, flags):
+        src = tmp_path / "uses.mc"
+        src.write_text(USES_LIBMINI)
+        assert main(["run", str(src), *flags]) == 43
+        out = tmp_path / "uses.bin"
+        assert main(["build", str(src), "--link", str(out), *flags]) == 0
+
+        from repro.build import load_binary
+        from repro.link.loader import load as load_bin
+
+        assert load_bin(load_binary(out.read_bytes())).run() == 43
+
+    def test_object_links_its_library(self, tmp_path, capsys):
+        src = tmp_path / "uses.mc"
+        src.write_text(USES_LIBMINI)
+        assert main(["build", str(src), "--out-dir", str(tmp_path)]) == 0
+        out = tmp_path / "uses.bin"
+        assert main([
+            "build", str(tmp_path / "uses.uo"), "--link", str(out),
+        ]) == 0
+
+        from repro.build import load_binary
+        from repro.link.loader import load as load_bin
+
+        assert load_bin(load_binary(out.read_bytes())).run() == 43
+
+    def test_unknown_library_reported_cleanly(self, tmp_path, capsys):
+        src = tmp_path / "bad.mc"
+        src.write_text("use libmaxi;\nint main() { return 0; }\n")
+        assert main(["run", str(src)]) == 1
+        assert "unknown library 'libmaxi'" in capsys.readouterr().err
+
+
 class TestCliBuildAndCache:
     def test_build_then_link_runs_like_compile(self, tmp_path, capsys):
         lib = tmp_path / "lib.mc"

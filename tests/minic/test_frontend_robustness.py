@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import OUR_MPX, compile_source
+from repro.build import BuildSession
 from repro.errors import ParseError, ReproError
 from repro.minic import analyze, parse
 from repro.minic.parser import MAX_NESTING
@@ -46,12 +47,22 @@ class TestGracefulFailure:
     @example("int f() { return " + "(" * 64 + "1" + ")" * 64 + "; }")
     @example("int f() { return " + "(" * 200 + "1" + ")" * 200 + "; }")
     @example("void f() { " + "{ " * 1000 + "int x;" + " }" * 1000 + " }")
+    @example("use;")
+    @example("use nosuch;")
+    @example("use libmini; use libmini;")
+    @example("use libmini; int mini_strlen(char *s) { return 0; }")
     @settings(max_examples=300, deadline=None)
     def test_arbitrary_text(self, text):
         try:
             analyze(parse(text))
         except ReproError:
             pass
+        # The build driver resolves ``use`` directives before analysis.
+        if "use" in text:
+            try:
+                BuildSession().stage_parse(text)
+            except ReproError:
+                pass
 
     @given(token_soup)
     @settings(max_examples=300, deadline=None)

@@ -244,9 +244,16 @@ def _example_module(name):
     return module
 
 
+def _as_pasted(source):
+    """The text a source that says ``use libmini;`` stands for: the
+    library pasted in place of the directive.  Sources read that way
+    when the streams below were recorded."""
+    return source.replace("use libmini;", LIBMINI)
+
+
 def in_repo_sources():
     """Every MiniC source the repo ships: apps, SPEC kernels, attack
-    programs and examples."""
+    programs and examples (library uses pasted, see _as_pasted)."""
     quickstart = _example_module("quickstart")
     tour = _example_module("extensions_tour")
     sources = {
@@ -269,7 +276,7 @@ def in_repo_sources():
         sources[f"examples/quickstart.{name}"] = getattr(quickstart, name)
     for name in ("SWITCHY", "CALLBACKS", "TLS", "ALL_PRIVATE"):
         sources[f"examples/extensions_tour.{name}"] = getattr(tour, name)
-    return sources
+    return {name: _as_pasted(text) for name, text in sources.items()}
 
 
 def stream_digest(source):

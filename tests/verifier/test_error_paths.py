@@ -16,6 +16,7 @@ from a linked binary and marked ``pragma: no cover`` in the verifier:
 from __future__ import annotations
 
 import copy
+from dataclasses import replace
 
 import pytest
 
@@ -86,6 +87,20 @@ def mutated(binary):
     return copy.deepcopy(binary)
 
 
+def patch(binary, at, **changes):
+    """Replace the (frozen) word at address ``at`` with a copy carrying
+    ``changes``."""
+    binary.code[at] = replace(binary.code[at], **changes)
+
+
+def patch_mem(binary, at, **changes):
+    patch(binary, at, mem=replace(binary.code[at].mem, **changes))
+
+
+def flip(binary, at, name, mask):
+    patch(binary, at, **{name: getattr(binary.code[at], name) ^ mask})
+
+
 def reject(binary, *reasons: str) -> VerifyError:
     with pytest.raises(VerifyError) as excinfo:
         verify_binary(binary)
@@ -145,7 +160,7 @@ def test_magic_not_unique(mpx_binary):
 
 def test_bad_magic_word_entry_prefix(mpx_binary):
     b = mutated(mpx_binary)
-    b.code[body_start(b)].value ^= 1 << 7
+    flip(b, body_start(b), "value", 1 << 7)
     reject(b, "bad-magic-word")
 
 
@@ -156,7 +171,7 @@ def test_bad_magic_word_ret_site_prefix(mpx_binary):
         lambda i, a: isinstance(i, isa.MagicWord) and i.kind == "ret"
         and isinstance(b.code[a - 1], (isa.CallD, isa.CallI)),
     )
-    b.code[addr].value ^= 1 << 6
+    flip(b, addr, "value", 1 << 6)
     reject(b, "bad-magic-word")
 
 
@@ -198,7 +213,7 @@ def test_bad_stub_outside_externals_table(mpx_binary):
     stub = min(
         a for n, a in b.label_addrs.items() if n.startswith("stub.")
     )
-    b.code[stub].mem.abs += 4096
+    patch_mem(b, stub, abs=b.code[stub].mem.abs + 4096)
     reject(b, "bad-stub")
 
 
@@ -207,7 +222,7 @@ def test_jump_outside_procedure(mpx_binary):
     addr = find(
         b, lambda i, a: isinstance(i, isa.Jmp), body_start(b)
     )
-    b.code[addr].addr = len(b.code) + 17
+    patch(b, addr, addr=len(b.code) + 17)
     reject(b, "jump-outside-procedure")
 
 
@@ -235,7 +250,7 @@ def _frame_extension_addr(binary) -> int:
 
 def test_rsp_non_constant_arith(mpx_binary):
     b = mutated(mpx_binary)
-    b.code[_frame_extension_addr(b)].b = regs.R11
+    patch(b, _frame_extension_addr(b), b=regs.R11)
     reject(b, "rsp-non-constant-arith")
 
 
@@ -297,7 +312,7 @@ def test_stray_checkmagic(mpx_binary):
 def test_ret_check_pattern_broken_jmp(mpx_binary):
     b = mutated(mpx_binary)
     pop = _return_sequence(b)
-    b.code[pop + 2].skip = 2
+    patch(b, pop + 2, skip=2)
     reject(b, "ret-check-pattern")
 
 
@@ -311,7 +326,7 @@ def test_fallthrough_out_of_procedure(mpx_binary):
 
 def test_return_taint_mismatch_entry_bit(mpx_binary):
     b = mutated(mpx_binary)
-    b.code[body_start(b)].value ^= 1 << 4
+    flip(b, body_start(b), "value", 1 << 4)
     # Depending on which procedure the flipped magic belongs to, either
     # its own return check or a call site to it trips first.
     reject(b, "return-taint-mismatch", "return-site-taint-mismatch")
@@ -331,7 +346,8 @@ def _direct_call_addr(binary) -> int:
 
 def test_call_to_non_procedure(mpx_binary):
     b = mutated(mpx_binary)
-    b.code[_direct_call_addr(b)].addr += 1
+    call = _direct_call_addr(b)
+    patch(b, call, addr=b.code[call].addr + 1)
     reject(b, "call-to-non-procedure")
 
 
@@ -363,7 +379,7 @@ def test_missing_return_site_magic(mpx_binary):
 def test_return_site_taint_mismatch(mpx_binary):
     b = mutated(mpx_binary)
     call = _direct_call_addr(b)
-    b.code[call + 1].value ^= 1  # flip the site's expected ret taint
+    flip(b, call + 1, "value", 1)  # flip the site's expected ret taint
     reject(b, "return-site-taint-mismatch")
 
 
@@ -387,7 +403,7 @@ def test_unchecked_indirect_call(mpx_binary):
 
 def test_bad_icall_check(mpx_binary):
     b = mutated(mpx_binary)
-    b.code[_icall_check_addr(b)].inv_value ^= 1 << 6
+    flip(b, _icall_check_addr(b), "inv_value", 1 << 6)
     reject(b, "bad-icall-check")
 
 
@@ -446,7 +462,7 @@ def test_store_taint_mismatch(seg_binary):
         and i.mem.seg == isa.SEG_GS,
         load,
     )
-    b.code[store].mem.seg = isa.SEG_FS  # privately-loaded byte -> public
+    patch_mem(b, store, seg=isa.SEG_FS)  # privately-loaded byte -> public
     reject(b, "store-taint-mismatch")
 
 
@@ -458,7 +474,7 @@ def test_unprefixed_operand(seg_binary):
         and i.mem.base is not None,
         body_start(b),
     )
-    b.code[addr].mem.seg = None
+    patch_mem(b, addr, seg=None)
     reject(b, "unprefixed-operand")
 
 
@@ -473,11 +489,11 @@ def _global_access_addr(binary) -> int:
 
 def test_indexed_static_operand(mpx_binary):
     b = mutated(mpx_binary)
-    b.code[_global_access_addr(b)].mem.index = regs.RCX
+    patch_mem(b, _global_access_addr(b), index=regs.RCX)
     reject(b, "indexed-static-operand")
 
 
 def test_static_operand_outside_regions(mpx_binary):
     b = mutated(mpx_binary)
-    b.code[_global_access_addr(b)].mem.abs = (1 << 47) - 16
+    patch_mem(b, _global_access_addr(b), abs=(1 << 47) - 16)
     reject(b, "static-operand-outside-regions")

@@ -6,6 +6,7 @@ past the verifier.
 """
 
 import copy
+from dataclasses import replace
 
 import pytest
 
@@ -104,7 +105,7 @@ class TestRejection:
         rejected = 0
         for index in candidates:
             clone = copy.deepcopy(mpx_binary)
-            clone.code[index].bnd = 0
+            clone.code[index] = replace(clone.code[index], bnd=0)
             try:
                 verify_binary(clone)
             except VerifyError as e:
@@ -117,9 +118,9 @@ class TestRejection:
 
     def test_flipped_entry_ret_bit(self, mpx_binary):
         def flip(b):
-            for insn in b.code:
+            for i, insn in enumerate(b.code):
                 if isinstance(insn, isa.MagicWord) and insn.kind == "call":
-                    insn.value ^= 0x10
+                    b.code[i] = replace(insn, value=insn.value ^ 0x10)
                     return True
             return False
 
@@ -208,7 +209,7 @@ class TestRejection:
 
     def test_unprefixed_operand_in_seg_scheme(self, seg_binary):
         def strip_prefix(b):
-            for insn in b.code:
+            for i, insn in enumerate(b.code):
                 mem = getattr(insn, "mem", None)
                 if (
                     isinstance(insn, (isa.Load, isa.Store))
@@ -217,8 +218,9 @@ class TestRejection:
                     and mem.base is not None
                     and mem.base != regs.RSP
                 ):
-                    mem.seg = None
-                    mem.use32 = False
+                    b.code[i] = replace(
+                        insn, mem=replace(mem, seg=None, use32=False)
+                    )
                     return True
             return False
 
@@ -240,7 +242,10 @@ class TestRejection:
         rejected = 0
         for index in candidates:
             clone = copy.deepcopy(seg_binary)
-            clone.code[index].mem.seg = isa.SEG_FS
+            insn = clone.code[index]
+            clone.code[index] = replace(
+                insn, mem=replace(insn.mem, seg=isa.SEG_FS)
+            )
             try:
                 verify_binary(clone)
             except VerifyError as e:
@@ -250,9 +255,10 @@ class TestRejection:
 
     def test_stub_retargeted_outside_table(self, mpx_binary):
         def retarget(b):
-            for insn in b.code:
+            for i, insn in enumerate(b.code):
                 if isinstance(insn, isa.JmpInd):
-                    insn.mem.abs = insn.mem.abs + 4096
+                    mem = replace(insn.mem, abs=insn.mem.abs + 4096)
+                    b.code[i] = replace(insn, mem=mem)
                     return True
             return False
 
@@ -268,7 +274,8 @@ class TestRejection:
             for addr in range(first_proc, len(b.code)):
                 insn = b.code[addr]
                 if isinstance(insn, isa.MagicWord) and insn.kind == "ret":
-                    insn.value = (b.mcall_prefix << 5) | (insn.value & 0x1F)
+                    value = (b.mcall_prefix << 5) | (insn.value & 0x1F)
+                    b.code[addr] = replace(insn, value=value)
                     return True
             return False
 
@@ -280,13 +287,13 @@ class TestRejection:
             # Claim a callee accepts public args it declared private:
             # lower an entry magic's arg bits (callee now "expects"
             # public where callers pass private).
-            for insn in b.code:
+            for i, insn in enumerate(b.code):
                 if (
                     isinstance(insn, isa.MagicWord)
                     and insn.kind == "call"
                     and (insn.value & 0xF) != 0
                 ):
-                    insn.value &= ~0xF
+                    b.code[i] = replace(insn, value=insn.value & ~0xF)
                     return True
             return False
 
